@@ -144,7 +144,7 @@ void IncrementalRouter::collect_incident(noc::TileId a, noc::TileId b) {
               [&](std::size_t x, std::size_t y) { return pos_of_[x] < pos_of_[y]; });
 }
 
-RerouteEval IncrementalRouter::reroute_swap(noc::TileId a, noc::TileId b) {
+RerouteEval IncrementalRouter::reroute_swap(noc::TileId a, noc::TileId b, double reject_at) {
     if (pending_)
         throw std::logic_error("IncrementalRouter: reroute_swap with a pending evaluation "
                                "open (commit or rollback first)");
@@ -161,7 +161,7 @@ RerouteEval IncrementalRouter::reroute_swap(noc::TileId a, noc::TileId b) {
         return pending_eval_;
     }
     if (options_.mode == RerouteMode::Exact)
-        exact_eval();
+        exact_eval(reject_at);
     else
         fast_eval();
     return pending_eval_;
@@ -182,7 +182,7 @@ void IncrementalRouter::ensure_prefix(std::size_t l) {
     cand_prefix_[l] = sum;
 }
 
-void IncrementalRouter::exact_eval() {
+void IncrementalRouter::exact_eval(double reject_at) {
     // Replay the sequential routing pass from the first incident commodity
     // on, re-running the quadrant Dijkstra only where the candidate's
     // prefix loads differ from the committed ones. Identical weights pick
@@ -204,6 +204,12 @@ void IncrementalRouter::exact_eval() {
     // a path node a different equal-cost predecessor — the returned route
     // changes even though its cost does not. Only weight-equality is
     // tie-safe.
+    //
+    // Early exit: each candidate prefix is a lower bound of its link's
+    // final load (values >= 0, rounding is monotone). Once one of them is
+    // over capacity and their running peak has reached `reject_at`, the
+    // candidate is infeasible with max_load >= reject_at — a verdict the
+    // caller discards — so the rest of the replay is skipped.
     const noc::DistanceOracle orc = oracle();
     const auto a = pending_a_;
     const auto b = pending_b_;
@@ -233,6 +239,14 @@ void IncrementalRouter::exact_eval() {
             in_diff_list_[i] = 1;
             diff_links_.push_back(l);
         }
+    };
+
+    bool over_capacity = false;
+    double cand_peak = -std::numeric_limits<double>::infinity();
+    const auto advance_cand = [&](std::size_t i, double value) {
+        const double load = cand_prefix_[i] += value;
+        cand_peak = std::max(cand_peak, load);
+        over_capacity = over_capacity || load > link_capacity(i) + kBandwidthEps;
     };
 
     for (Pos p = first; p < count; ++p) {
@@ -294,7 +308,7 @@ void IncrementalRouter::exact_eval() {
                 const auto i = static_cast<std::size_t>(l);
                 ensure_prefix(i);
                 base_prefix_[i] += value;
-                cand_prefix_[i] += value;
+                advance_cand(i, value);
                 touch(l);
             }
         } else {
@@ -307,9 +321,17 @@ void IncrementalRouter::exact_eval() {
             for (const noc::LinkId l : *chosen) {
                 const auto i = static_cast<std::size_t>(l);
                 ensure_prefix(i);
-                cand_prefix_[i] += value;
+                advance_cand(i, value);
                 touch(l);
             }
+        }
+
+        if (over_capacity && cand_peak >= reject_at) {
+            ++early_exits_;
+            pending_early_exit_ = true;
+            pending_eval_ = RerouteEval{kInfeasibleCost, std::numeric_limits<double>::infinity(),
+                                        false};
+            return;
         }
 
         // Both passes agree on every link and no incident commodity left:
@@ -442,6 +464,9 @@ double IncrementalRouter::pending_cost() const {
 
 void IncrementalRouter::commit() {
     if (!pending_) throw std::logic_error("IncrementalRouter: commit without pending state");
+    if (pending_early_exit_)
+        throw std::logic_error("IncrementalRouter: commit of an early-exited evaluation "
+                               "(its pending state is partial; roll it back)");
     const auto a = pending_a_;
     const auto b = pending_b_;
     const auto translate = [&](noc::TileId t) { return t == a ? b : (t == b ? a : t); };
@@ -490,6 +515,7 @@ void IncrementalRouter::rollback() {
     pending_all_loads_.clear();
     pending_ = false;
     pending_full_ = false;
+    pending_early_exit_ = false;
 }
 
 void IncrementalRouter::rebase(const noc::Mapping& mapping) {

@@ -32,6 +32,16 @@
 //     result — routes, loads, max_load, feasibility, cost — is
 //     bit-identical to evaluate_mapping() on the swapped mapping, and
 //     stays so across any chain of commits.
+//
+//     The replay takes an optional rejection bound `reject_at`: the caller
+//     promises to discard any infeasible candidate whose max_load is
+//     >= reject_at. Commodity values are >= 0 and floating-point addition
+//     rounds monotonically, so every final link load is >= each in-order
+//     prefix of it. Once some candidate prefix exceeds capacity + eps and
+//     the running peak of the candidate prefixes reaches reject_at, the
+//     candidate is provably infeasible with max_load >= reject_at, and the
+//     replay stops there (an early exit). The verdict is then
+//     {inf, inf, false}; the pending state may only be rolled back.
 //   * Fast — pure rip-up-and-reroute: only the incident commodities are
 //     ripped up and re-routed (in value order) against the current
 //     absolute loads. A different, valid point in the heuristic's design
@@ -52,6 +62,7 @@
 // reroute_swap non-const.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -129,8 +140,18 @@ public:
     /// affected commodities; the result is held as pending state until
     /// commit() or rollback(). Throws std::logic_error when a pending
     /// evaluation is already open.
-    RerouteEval reroute_swap(noc::TileId a, noc::TileId b);
+    RerouteEval reroute_swap(noc::TileId a, noc::TileId b) {
+        return reroute_swap(a, b, std::numeric_limits<double>::infinity());
+    }
+    /// Bounded variant: the caller discards any infeasible candidate whose
+    /// max_load is >= `reject_at`, so the Exact replay may stop as soon as
+    /// the candidate provably is one (see the header comment). An early
+    /// exit returns {inf, inf, false} and can only be rolled back. Every
+    /// other verdict is bit-identical to the unbounded call. Fast mode
+    /// ignores the bound.
+    RerouteEval reroute_swap(noc::TileId a, noc::TileId b, double reject_at);
     /// Applies the pending swap to the persistent state, O(changed links).
+    /// Throws std::logic_error after an early exit.
     void commit();
     /// Discards the pending swap, O(changed links).
     void rollback();
@@ -150,6 +171,8 @@ public:
     /// From-scratch re-routes (binds, rebases, resyncs, Fast-mode confirms).
     std::size_t full_reroute_count() const noexcept { return full_reroutes_; }
     std::size_t commit_count() const noexcept { return commits_; }
+    /// Exact replays stopped by their rejection bound.
+    std::size_t early_exit_count() const noexcept { return early_exits_; }
 
 private:
     using Pos = std::int32_t; ///< position in the routing order
@@ -174,7 +197,7 @@ private:
     PendingLink& pending_link(noc::LinkId l);
     void collect_incident(noc::TileId a, noc::TileId b);
     void ensure_prefix(std::size_t l); ///< lazy per-link replay prefix init
-    void exact_eval();
+    void exact_eval(double reject_at);
     void fast_eval();
     void score_pending();         ///< cost/max/feasible of the pending state
     double pending_cost() const;  ///< Eq.7 over pending endpoints, slot order
@@ -204,6 +227,7 @@ private:
     // reroute_swap calls.
     bool pending_ = false;
     bool pending_full_ = false; ///< Fast-mode confirm replaced the whole state
+    bool pending_early_exit_ = false; ///< replay stopped by its bound: rollback only
     noc::TileId pending_a_ = noc::kInvalidTile;
     noc::TileId pending_b_ = noc::kInvalidTile;
     std::vector<std::size_t> incident_slots_;          ///< ascending position
@@ -243,6 +267,7 @@ private:
     std::size_t full_reroutes_ = 0;
     std::size_t commits_ = 0;
     std::size_t commits_since_resync_ = 0;
+    std::size_t early_exits_ = 0;
 };
 
 } // namespace nocmap::engine

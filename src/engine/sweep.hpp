@@ -55,6 +55,15 @@ struct Score {
                secondary < other.secondary;
     }
 
+    /// The rejection bound this incumbent puts on infeasible candidates
+    /// (IncrementalRouter::reroute_swap's `reject_at`): by better_than, an
+    /// infeasible candidate with secondary >= reject_bound() never beats
+    /// it. -inf when this score has a cost (no infeasible candidate wins),
+    /// its own secondary when it is infeasible too.
+    double reject_bound() const {
+        return primary == kMaxValue ? secondary : -std::numeric_limits<double>::infinity();
+    }
+
     /// A score that never beats anything — what policies return for
     /// candidates pruned without full evaluation.
     static Score rejected() { return Score{}; }

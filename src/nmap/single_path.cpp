@@ -32,6 +32,14 @@ namespace {
 ///     to the full re-route at O(deg) Dijkstras,
 ///   * LedgerFast  — the router's rip-up-and-reroute heuristic.
 ///
+/// The ledger modes hand the router the incumbent's rejection bound
+/// (Score::reject_bound). In Exact mode a candidate whose replayed prefixes
+/// already prove it infeasible with a peak at or above that bound stops
+/// early and comes back as {inf, inf, false}, which never wins — exactly as
+/// its full verdict would not have. Parallel sweeps score against the
+/// row-start incumbent; the running one only improves on it, so that bound
+/// is looser and still safe.
+///
 /// The routers hold mutable pending state, so with threads != 1 every
 /// scoring thread (the sweep's workers and the main thread) lazily clones
 /// the master router, which is only mutated at the serial points
@@ -72,7 +80,7 @@ public:
         }
         if (ledger_mode()) {
             engine::IncrementalRouter& router = thread_router();
-            const engine::RerouteEval eval = router.reroute_swap(a, b);
+            const engine::RerouteEval eval = router.reroute_swap(a, b, incumbent.reject_bound());
             router.rollback();
             return engine::Score{eval.cost, eval.max_load, eval.feasible};
         }
@@ -98,6 +106,16 @@ public:
 
     std::size_t router_dijkstras() const {
         return master_ ? master_->dijkstra_count() : 0;
+    }
+
+    /// Early exits summed over every scoring router. No exit is counted
+    /// twice: a parallel sweep's master only rebases (unbounded), so a clone
+    /// copied from it starts at zero.
+    std::size_t router_early_exits() const {
+        std::size_t total = master_ ? master_->early_exit_count() : 0;
+        for (const auto& [id, clone] : clones_)
+            if (clone.router) total += clone.router->early_exit_count();
+        return total;
     }
 
 private:
@@ -179,7 +197,8 @@ MappingResult run_single_path(const graph::CoreGraph& graph, const noc::Topology
     const engine::SweepOutcome outcome = driver.sweep(initial_mapping(graph, topo), policy);
     util::log_debug("nmap") << "sweeps " << outcome.sweeps << " best cost "
                             << outcome.best_score.primary << " router dijkstras "
-                            << policy.router_dijkstras();
+                            << policy.router_dijkstras() << " early exits "
+                            << policy.router_early_exits();
     // One final re-route of the winner (its loads are not carried through
     // the generic Score); deterministic, so identical to the sweep's own
     // evaluation of that mapping in the sequential-routing modes.

@@ -1,5 +1,6 @@
 #include "nmap/split.hpp"
 
+#include <limits>
 #include <optional>
 
 #include "engine/incremental_router.hpp"
@@ -147,7 +148,10 @@ private:
         if (!router_)
             router_.emplace(graph_, ctx_.topology(), base);
         if (a == noc::kInvalidTile) return router_->feasible();
-        const bool feasible = router_->reroute_swap(a, b).feasible;
+        // Only the verdict is read and the candidate is always rolled
+        // back: any infeasible candidate may stop the replay early.
+        const bool feasible =
+            router_->reroute_swap(a, b, -std::numeric_limits<double>::infinity()).feasible;
         router_->rollback();
         return feasible;
     }

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <optional>
+#include <stdexcept>
+#include <string>
+
 #include "apps/registry.hpp"
+#include "engine/incremental_cost.hpp"
 #include "engine/sweep.hpp"
 #include "graph/random_graph.hpp"
 #include "nmap/initialize.hpp"
@@ -10,6 +17,7 @@
 #include "nmap/single_path.hpp"
 #include "nmap/split.hpp"
 #include "noc/evaluation.hpp"
+#include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace nocmap::engine {
@@ -95,6 +103,81 @@ TEST(IncrementalRouter, ExactIsBitIdenticalToFullRerouteUnderRandomSwaps) {
         }
         EXPECT_GT(router.commit_count(), 30u);
     }
+}
+
+/// The rejection bound's contract: across random graphs at tight uniform
+/// capacity and random swap chains with commits, every bounded verdict is
+/// either bit-identical to the unbounded one, or an early exit whose
+/// unbounded twin is infeasible with max_load >= reject_at. Rolling an
+/// early exit back leaves no trace (the next unbounded evaluation equals a
+/// freshly built router's), and committing one throws.
+TEST(IncrementalRouter, BoundedReplayIsExactOrAProvableReject) {
+    struct Case {
+        std::size_t cores;
+        std::uint64_t seed;
+        double capacity_scale; ///< capacity = initial max load x this
+    };
+    const Case cases[] = {{12, 7, 0.9}, {16, 11, 1.0}, {25, 5, 0.95}, {30, 13, 1.05}};
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::size_t exits_unconditional = 0; // reject_at = -inf
+    std::size_t exits_at_committed = 0;  // reject_at = committed max_load
+    for (const Case& c : cases) {
+        const auto g = random_graph(c.cores, c.seed);
+        auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const auto initial = nmap::initial_mapping(g, topo);
+        topo.set_uniform_capacity(
+            noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) *
+            c.capacity_scale);
+
+        RerouteOptions options;
+        options.resync_cadence = 5;
+        options.audit = true;
+        IncrementalRouter router(g, topo, initial, options);
+        util::Rng rng(c.seed * 131 + 7);
+        for (int step = 0; step < 40; ++step) {
+            const auto [a, b] = random_swap(rng, router.mapping());
+            const RerouteEval twin = router.reroute_swap(a, b);
+            router.rollback();
+            for (const double reject_at : {-kInf, router.max_load(), kInf}) {
+                const std::size_t exits_before = router.early_exit_count();
+                const RerouteEval got = router.reroute_swap(a, b, reject_at);
+                if (router.early_exit_count() != exits_before) {
+                    EXPECT_NE(reject_at, kInf) << "an unbounded replay never stops early";
+                    EXPECT_FALSE(got.feasible);
+                    EXPECT_EQ(got.cost, kInf);
+                    EXPECT_EQ(got.max_load, kInf);
+                    EXPECT_FALSE(twin.feasible) << "step " << step;
+                    EXPECT_GE(twin.max_load, reject_at) << "step " << step;
+                    EXPECT_THROW(router.commit(), std::logic_error);
+                    ++(reject_at == -kInf ? exits_unconditional : exits_at_committed);
+                } else {
+                    EXPECT_EQ(got.feasible, twin.feasible) << "step " << step;
+                    EXPECT_EQ(got.max_load, twin.max_load) << "step " << step;
+                    EXPECT_EQ(got.cost, twin.cost) << "step " << step;
+                }
+                router.rollback();
+
+                // The next unbounded evaluation sees no residue of the
+                // (possibly partial) bounded one.
+                const auto [c1, c2] = random_swap(rng, router.mapping());
+                IncrementalRouter fresh(g, topo, router.mapping(), options);
+                const RerouteEval next = router.reroute_swap(c1, c2);
+                const RerouteEval want = fresh.reroute_swap(c1, c2);
+                EXPECT_EQ(next.feasible, want.feasible) << "step " << step;
+                EXPECT_EQ(next.max_load, want.max_load) << "step " << step;
+                EXPECT_EQ(next.cost, want.cost) << "step " << step;
+                router.rollback();
+            }
+            if (step % 2 == 0) {
+                router.reroute_swap(a, b);
+                ASSERT_NO_THROW(router.commit()) << "audit diverged at step " << step;
+            }
+        }
+        expect_matches_full_reroute(router, g, topo, "after bounded chain");
+    }
+    // Tight capacities: both bounded flavours must actually stop replays.
+    EXPECT_GT(exits_unconditional, 0u);
+    EXPECT_GT(exits_at_committed, 0u);
 }
 
 TEST(IncrementalRouter, ExactContextThreadedMatchesPlain) {
@@ -242,6 +325,130 @@ TEST(IncrementalRouter, LedgerExactSweepMatchesNaiveUnderTightCapacities) {
     EXPECT_EQ(naive.mapping, ledger.mapping);
     EXPECT_EQ(naive.feasible, ledger.feasible);
     EXPECT_EQ(naive.loads, ledger.loads);
+}
+
+/// LedgerExact's scoring path spelled out on the public engine API: the
+/// Eq.7 delta prune, then the replay bounded by the incumbent's
+/// reject_bound(). Serial, so it scores exactly what a threads=1 sweep
+/// does, and it splits the early exits by incumbent phase.
+class BoundedLedgerPolicy final : public SweepPolicy {
+public:
+    BoundedLedgerPolicy(const graph::CoreGraph& graph, const noc::Topology& topo,
+                        RerouteOptions options)
+        : graph_(graph), topo_(topo), options_(options) {}
+
+    Score evaluate(const noc::Mapping& mapping) override {
+        if (!router_)
+            router_.emplace(graph_, topo_, mapping, options_);
+        else
+            router_->rebase(mapping);
+        const RerouteEval& eval = router_->committed_eval();
+        return Score{eval.cost, eval.max_load, eval.feasible};
+    }
+
+    Score evaluate_swap(const noc::Mapping&, const Score& base_score, const Score& incumbent,
+                        noc::TileId a, noc::TileId b) override {
+        if (base_score.feasible && incumbent.feasible) {
+            const double guard = 1e-9 * (1.0 + std::abs(base_score.primary));
+            if (base_score.primary + evaluator_->swap_delta(a, b) >= incumbent.primary + guard)
+                return Score::rejected();
+        }
+        const std::size_t before = router_->early_exit_count();
+        const RerouteEval eval = router_->reroute_swap(a, b, incumbent.reject_bound());
+        router_->rollback();
+        if (router_->early_exit_count() != before)
+            ++(incumbent.feasible ? exits_feasible : exits_infeasible);
+        return Score{eval.cost, eval.max_load, eval.feasible};
+    }
+
+    void on_rebase(const noc::Mapping& placed, const Score&) override {
+        if (!evaluator_)
+            evaluator_.emplace(graph_, topo_, placed);
+        else
+            evaluator_->rebase(placed);
+        router_->rebase(placed);
+    }
+
+    std::size_t exits_infeasible = 0; ///< early exits against an infeasible incumbent
+    std::size_t exits_feasible = 0;   ///< early exits against a feasible incumbent
+
+private:
+    const graph::CoreGraph& graph_;
+    const noc::Topology& topo_;
+    RerouteOptions options_;
+    std::optional<IncrementalEvaluator> evaluator_;
+    std::optional<IncrementalRouter> router_;
+};
+
+/// The "early exits N" figure of nmap's debug summary line for one run.
+std::size_t logged_early_exits(const graph::CoreGraph& g, const noc::Topology& topo,
+                               const nmap::SinglePathOptions& opt,
+                               MappingResult& result) {
+    const util::LogLevel saved = util::log_level();
+    util::set_log_level(util::LogLevel::Debug);
+    testing::internal::CaptureStderr();
+    result = nmap::map_with_single_path(g, topo, opt);
+    const std::string log = testing::internal::GetCapturedStderr();
+    util::set_log_level(saved);
+    const std::string key = "early exits ";
+    const std::size_t at = log.find(key);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no early-exit count in the nmap debug line: " << log;
+        return 0;
+    }
+    return std::stoul(log.substr(at + key.size()));
+}
+
+/// The bound's both branches under the real sweep: from an initial mapping
+/// that is infeasible (the incumbent's peak load bounds the replay) into
+/// the feasible phase (any infeasible candidate stops at its first
+/// overload), LedgerExact still returns the Naive oracle's mapping, loads
+/// and feasibility, serial and parallel, with the audit resync on.
+TEST(IncrementalRouter, BoundedLedgerSweepMatchesNaiveFromAnInfeasibleStart) {
+    struct Case {
+        const char* spec;
+        double capacity_scale; ///< capacity = initial max load x this
+    };
+    const Case cases[] = {{"synth:nodes=36,edges=72,seed=2", 0.8},
+                          {"synth:nodes=49,edges=98,seed=6", 0.7},
+                          {"synth:nodes=64,edges=128,seed=3", 0.7}};
+    for (const Case& c : cases) {
+        const auto g = apps::load_graph_or_application(c.spec);
+        auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const auto initial = nmap::initial_mapping(g, topo);
+        topo.set_uniform_capacity(
+            noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) *
+            c.capacity_scale);
+        ASSERT_FALSE(nmap::evaluate_mapping(g, topo, initial).feasible) << c.spec;
+        const auto naive =
+            nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::Naive));
+        ASSERT_TRUE(naive.feasible) << c.spec << ": the search must reach the feasible phase";
+
+        RerouteOptions reroute;
+        reroute.audit = true;
+        reroute.resync_cadence = 3;
+        std::size_t serial_exits = 0;
+        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            auto opt = with_eval(nmap::SweepEval::LedgerExact, threads);
+            opt.reroute = reroute;
+            MappingResult ledger;
+            const std::size_t exits = logged_early_exits(g, topo, opt, ledger);
+            EXPECT_EQ(naive.mapping, ledger.mapping) << c.spec << " threads=" << threads;
+            EXPECT_EQ(naive.feasible, ledger.feasible) << c.spec;
+            EXPECT_EQ(naive.comm_cost, ledger.comm_cost) << c.spec;
+            EXPECT_EQ(naive.loads, ledger.loads) << c.spec;
+            EXPECT_GT(exits, 0u) << c.spec << " threads=" << threads;
+            if (threads == 1) serial_exits = exits;
+        }
+
+        BoundedLedgerPolicy policy(g, topo, reroute);
+        const SweepOutcome outcome = SwapSweepDriver().sweep(initial, policy);
+        EXPECT_EQ(naive.mapping, outcome.best) << c.spec;
+        EXPECT_GT(policy.exits_infeasible, 0u) << c.spec;
+        EXPECT_GT(policy.exits_feasible, 0u) << c.spec;
+        // Same serial scoring path, so the same replays stop.
+        EXPECT_EQ(policy.exits_infeasible + policy.exits_feasible, serial_exits) << c.spec;
+    }
 }
 
 TEST(IncrementalRouter, LedgerExactMultiSweepParallelMatchesSerial) {

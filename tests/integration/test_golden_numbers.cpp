@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apps/registry.hpp"
 #include "baselines/gmap.hpp"
 #include "baselines/pmap.hpp"
@@ -24,6 +26,11 @@ struct GoldenCost {
     double gmap;
     double pmap;
 };
+
+// Print a case as its app name. The default printer dumps the raw struct
+// bytes, `app` pointer included, which change from one process launch to
+// the next and would make the discovered test names unstable.
+void PrintTo(const GoldenCost& golden, std::ostream* os) { *os << golden.app; }
 
 class GoldenCosts : public ::testing::TestWithParam<GoldenCost> {};
 
