@@ -1,8 +1,10 @@
 #include "nmap/split.hpp"
 
+#include <cmath>
 #include <limits>
 #include <optional>
 
+#include "engine/incremental_cost.hpp"
 #include "engine/incremental_router.hpp"
 #include "engine/sweep.hpp"
 #include "nmap/initialize.hpp"
@@ -78,6 +80,16 @@ private:
 /// secondary = slack, so the driver's standard acceptance rule reproduces
 /// the seed algorithm's decisions exactly. Stateful (the scoring mode flips
 /// mid-row), hence not parallel_safe.
+///
+/// Phase 2 prunes with the Eq. 7 lower bound before any LP: every unit of
+/// commodity k crosses at least dist(src_k, dst_k) links, so the MCF2
+/// objective of any conserving flow (exact simplex, Frank–Wolfe path
+/// blends, warm or cold) is at least the candidate's Eq. 7 cost, with
+/// equality in MinPaths mode. An engine::IncrementalEvaluator bound to the
+/// sweep's `placed` mapping yields that cost in O(deg); a candidate whose
+/// bound reaches the incumbent plus a rounding guard could never satisfy
+/// better_than, so it is rejected unsolved and counts one (swap-delta)
+/// evaluation, like the solve it replaces.
 class SplitPolicy final : public engine::SweepPolicy {
 public:
     SplitPolicy(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
@@ -104,7 +116,17 @@ public:
     }
 
     engine::Score evaluate_swap(const noc::Mapping& base, const engine::Score&,
-                                const engine::Score&, noc::TileId a, noc::TileId b) override {
+                                const engine::Score& incumbent, noc::TileId a,
+                                noc::TileId b) override {
+        if (bw_satisfied_ && incumbent.primary < engine::kMaxValue) {
+            const double bound = evaluator_->cost() + evaluator_->swap_delta(a, b);
+            const double guard = 1e-6 * (1.0 + std::abs(incumbent.primary));
+            if (bound >= incumbent.primary + guard) {
+                count_evaluation();
+                ++pruned_;
+                return engine::Score::rejected();
+            }
+        }
         noc::Mapping candidate = base;
         candidate.swap_tiles(a, b);
         if (!bw_satisfied_) {
@@ -131,14 +153,22 @@ public:
     }
 
     void on_rebase(const noc::Mapping& placed, const engine::Score&) override {
+        // Rebased every row, not only in phase 2: the phase can flip
+        // mid-row, and the bound must then already describe `placed`.
+        if (!evaluator_)
+            evaluator_.emplace(graph_, ctx_, placed);
+        else
+            evaluator_->rebase(placed);
         if (!routing_prefilter_ || bw_satisfied_) return;
         if (!router_)
-            router_.emplace(graph_, ctx_.topology(), placed);
+            router_.emplace(graph_, ctx_, placed);
         else
             router_->rebase(placed);
     }
 
     bool bw_satisfied() const noexcept { return bw_satisfied_; }
+    /// Phase-2 candidates rejected by the Eq. 7 bound without an LP solve.
+    std::size_t pruned() const noexcept { return pruned_; }
 
 private:
     /// Prefilter check: true when single-path routing of `base` (or of
@@ -146,7 +176,7 @@ private:
     bool routed_feasible(const noc::Mapping& base, noc::TileId a, noc::TileId b) {
         if (!routing_prefilter_) return false;
         if (!router_)
-            router_.emplace(graph_, ctx_.topology(), base);
+            router_.emplace(graph_, ctx_, base);
         if (a == noc::kInvalidTile) return router_->feasible();
         // Only the verdict is read and the candidate is always rolled
         // back: any infeasible candidate may stop the replay early.
@@ -172,8 +202,10 @@ private:
     InnerMcf flow_;
     const bool routing_prefilter_;
     std::vector<noc::Commodity> commodities_;
+    std::optional<engine::IncrementalEvaluator> evaluator_;
     std::optional<engine::IncrementalRouter> router_;
     bool bw_satisfied_ = false;
+    std::size_t pruned_ = 0;
 };
 
 /// Figure-4 variant policy: minimize the min-max link load (the uniform
@@ -260,38 +292,37 @@ MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::EvalC
         options.routing_prefilter);
     const engine::SweepOutcome outcome =
         make_driver(options).sweep(initial_mapping(graph, ctx.topology()), policy);
-    util::log_debug("nmap.split") << "sweeps " << outcome.sweeps
-                                  << (policy.bw_satisfied() ? " cost " : " slack ")
-                                  << (policy.bw_satisfied() ? outcome.best_score.primary
-                                                            : outcome.best_score.secondary);
 
     MappingResult result;
     result.mapping = outcome.best;
     result.evaluations = policy.evaluations();
 
-    // Final (exact) scoring of the chosen mapping.
+    // Final (exact) scoring of the chosen mapping. MinFlow goes first: a
+    // feasible MCF2 flow already proves MCF1's slack is zero, so MinSlack
+    // is only solved when MinFlow is infeasible, to report the
+    // least-violating loads and flows.
     const bool exact = options.exact_final_polish || use_exact_inner(options);
-    const lp::McfResult final_slack =
-        polish_mcf(graph, ctx, outcome.best, options, lp::McfObjective::MinSlack, exact);
+    const lp::McfResult final_cost =
+        polish_mcf(graph, ctx, outcome.best, options, lp::McfObjective::MinFlow, exact);
     ++result.evaluations;
-    result.feasible = final_slack.feasible;
+    result.feasible = final_cost.feasible;
     if (result.feasible) {
-        const lp::McfResult final_cost =
-            polish_mcf(graph, ctx, outcome.best, options, lp::McfObjective::MinFlow, exact);
+        result.comm_cost = final_cost.objective;
+        result.loads = final_cost.loads;
+        result.flows = final_cost.flows;
+    } else {
+        const lp::McfResult final_slack =
+            polish_mcf(graph, ctx, outcome.best, options, lp::McfObjective::MinSlack, exact);
         ++result.evaluations;
-        if (final_cost.feasible) {
-            result.comm_cost = final_cost.objective;
-            result.loads = final_cost.loads;
-            result.flows = final_cost.flows;
-            return result;
-        }
-        // Exact scoring disagreed with the inner engine; report the slack
-        // solution's loads and keep cost at maxvalue.
-        result.feasible = false;
+        result.comm_cost = kMaxValue;
+        result.loads = final_slack.loads;
+        result.flows = final_slack.flows;
     }
-    result.comm_cost = kMaxValue;
-    result.loads = final_slack.loads;
-    result.flows = final_slack.flows;
+    util::log_debug("nmap.split") << "sweeps " << outcome.sweeps << " pruned " << policy.pruned()
+                                  << " polish solves " << (result.feasible ? 1 : 2)
+                                  << (policy.bw_satisfied() ? " cost " : " slack ")
+                                  << (policy.bw_satisfied() ? outcome.best_score.primary
+                                                            : outcome.best_score.secondary);
     return result;
 }
 

@@ -5,6 +5,15 @@
 // mapping satisfying the bandwidth constraints is found; phase 2 continues
 // the swap search with MCF2 (total-flow minimization) to improve the cost.
 //
+// Phase 2 skips LP solves whose outcome is already known. Every unit of a
+// commodity crosses at least dist(src, dst) links, so a candidate's MCF2
+// objective is at least its Eq. 7 cost (equal in MinPaths mode). A
+// candidate whose Eq. 7 cost, available in O(deg) from an incremental
+// evaluator, already reaches the incumbent's flow is rejected unsolved.
+// The final polish solves MCF2 first: a feasible flow is the result
+// and proves MCF1's slack is zero; only an infeasible one falls through to
+// MCF1, which supplies the least-violating loads and flows.
+//
 // SplitMode::MinPaths restricts every commodity's flow to its quadrant
 // (Eq. 10) — traffic split across minimum paths only, equal hop delay, low
 // jitter (the paper's NMAPTM series). SplitMode::AllPaths is NMAPTA.
@@ -45,6 +54,8 @@ struct SplitOptions {
     /// candidate's solution (see lp::McfSolver). Objectives and feasibility
     /// verdicts match the cold engines; tie-breaking among cost-equal
     /// optimal *flows* may differ, hence default off for bit-stable output.
+    /// Phase 2's lower-bound prune skips candidates, so the warm chain is
+    /// shorter than the candidate stream and can steer the search apart.
     bool warm_start = false;
     /// Iterations for the approximate inner engine.
     std::size_t approx_iterations = 32;
