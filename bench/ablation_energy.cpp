@@ -25,9 +25,9 @@ namespace {
 
 using namespace nocmap;
 
-double energy_of(const graph::CoreGraph& g, const noc::Topology& topo,
+double energy_of(const graph::CoreGraph& g, const noc::EvalContext& ctx,
                  const noc::Mapping& mapping) {
-    return noc::mapping_energy_mw(topo, noc::build_commodities(g, mapping));
+    return noc::mapping_energy_mw(ctx, noc::build_commodities(g, mapping));
 }
 
 void print_reproduction() {
@@ -36,27 +36,28 @@ void print_reproduction() {
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
         const auto topo = bench::ample_mesh_for(g);
-        const auto pmap = baselines::pmap_map(g, topo);
-        const auto gmap = baselines::gmap_map(g, topo);
+        const auto ctx = noc::EvalContext::borrow(topo);
+        const auto pmap = baselines::pmap_map(g, ctx);
+        const auto gmap = baselines::gmap_map(g, ctx);
         baselines::PbbOptions pbb_opt;
-        const auto pbb = baselines::pbb_map(g, topo, pbb_opt);
-        const auto nm = nmap::map_with_single_path(g, topo);
+        const auto pbb = baselines::pbb_map(g, ctx, pbb_opt);
+        const auto nm = nmap::map_with_single_path(g, ctx);
         baselines::AnnealingOptions sa_opt;
-        const auto sa = baselines::annealing_map(g, topo, sa_opt);
+        const auto sa = baselines::annealing_map(g, ctx, sa_opt);
 
         // Split routing pays extra traversals when it detours (TA): charge
         // the actual fractional flows.
         const auto d = noc::build_commodities(g, nm.mapping);
         lp::McfOptions ta;
         ta.objective = lp::McfObjective::MinMaxLoad;
-        const auto split = lp::solve_mcf(topo, d, ta);
+        const auto split = lp::solve_mcf(ctx, d, ta);
         const double split_energy = noc::split_flow_energy_mw(topo, d, split.flows);
 
-        table.add_row({info.name, util::Table::num(energy_of(g, topo, pmap.mapping), 1),
-                       util::Table::num(energy_of(g, topo, gmap.mapping), 1),
-                       util::Table::num(energy_of(g, topo, pbb.mapping), 1),
-                       util::Table::num(energy_of(g, topo, nm.mapping), 1),
-                       util::Table::num(energy_of(g, topo, sa.mapping), 1),
+        table.add_row({info.name, util::Table::num(energy_of(g, ctx, pmap.mapping), 1),
+                       util::Table::num(energy_of(g, ctx, gmap.mapping), 1),
+                       util::Table::num(energy_of(g, ctx, pbb.mapping), 1),
+                       util::Table::num(energy_of(g, ctx, nm.mapping), 1),
+                       util::Table::num(energy_of(g, ctx, sa.mapping), 1),
                        util::Table::num(split_energy, 1)});
     }
     table.print(std::cout);
@@ -66,9 +67,10 @@ void print_reproduction() {
 void BM_AnnealingMapper(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
     const auto topo = bench::ample_mesh_for(g);
+    const auto ctx = noc::EvalContext::borrow(topo);
     baselines::AnnealingOptions opt;
     for (auto _ : state)
-        benchmark::DoNotOptimize(baselines::annealing_map(g, topo, opt).comm_cost);
+        benchmark::DoNotOptimize(baselines::annealing_map(g, ctx, opt).comm_cost);
 }
 
 } // namespace

@@ -20,8 +20,8 @@
 // objectives on every candidate.
 //
 // `--smoke` runs a reduced version and exits non-zero when the 2x gate, the
-// exact-engine parity check, or the default-parameter byte-parity check
-// (context overload vs topology overload, run twice) fails. The CI release
+// exact-engine parity check, or the default-parameter byte-stability check
+// (three runs of the default split mapper) fails. The CI release
 // job gates on it; the timing rows feed ablation_mcf.csv and the
 // BENCH_mcf.json trajectory file.
 
@@ -57,24 +57,24 @@ void print_reproduction() {
     table.set_header({"app", "exact BW", "approx BW", "gap %", "exact flow", "approx flow"});
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
-        const auto topo = bench::ample_mesh_for(g);
-        const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+        const noc::EvalContext ctx(bench::ample_mesh_for(g));
+        const auto mapping = nmap::map_with_single_path(g, ctx).mapping;
         const auto d = noc::build_commodities(g, mapping);
 
         lp::McfOptions exact;
         exact.objective = lp::McfObjective::MinMaxLoad;
-        const double exact_bw = lp::solve_mcf(topo, d, exact).objective;
+        const double exact_bw = lp::solve_mcf(ctx, d, exact).objective;
         lp::McfOptions approx = exact;
         approx.use_exact_lp = false;
         approx.approx_iterations = 96;
-        const double approx_bw = lp::solve_mcf(topo, d, approx).objective;
+        const double approx_bw = lp::solve_mcf(ctx, d, approx).objective;
 
         lp::McfOptions exact_flow;
         exact_flow.objective = lp::McfObjective::MinFlow;
-        const double ef = lp::solve_mcf(topo, d, exact_flow).objective;
+        const double ef = lp::solve_mcf(ctx, d, exact_flow).objective;
         lp::McfOptions approx_flow = exact_flow;
         approx_flow.use_exact_lp = false;
-        const double af = lp::solve_mcf(topo, d, approx_flow).objective;
+        const double af = lp::solve_mcf(ctx, d, approx_flow).objective;
 
         const double gap = (approx_bw / exact_bw - 1.0) * 100.0;
         table.add_row({info.name, util::Table::num(exact_bw, 1),
@@ -205,22 +205,16 @@ bool chain_parity(const Workload& w,
     return ok;
 }
 
-/// Default-parameter byte parity: the context overload and the topology
-/// overload of map_with_splitting must produce identical mappings and costs,
-/// deterministically across repeated runs (the bit-identity acceptance).
+/// Default-parameter byte stability: repeated runs of map_with_splitting
+/// must produce identical mappings and costs (the bit-identity acceptance).
 bool mapper_byte_parity() {
     const auto g = apps::make_application("vopd");
-    const auto topo = bench::ample_mesh_for(g);
-    const noc::EvalContext ctx = noc::EvalContext::borrow(topo);
-    const auto first = nmap::map_with_splitting(g, topo);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
+    const auto first = nmap::map_with_splitting(g, ctx);
     for (int i = 0; i < 2; ++i) {
-        const auto via_topo = nmap::map_with_splitting(g, topo);
-        const auto via_ctx = nmap::map_with_splitting(g, ctx);
-        if (via_topo.mapping != first.mapping || via_ctx.mapping != first.mapping ||
-            via_topo.comm_cost != first.comm_cost ||
-            via_ctx.comm_cost != first.comm_cost) {
-            std::cerr << "default-parameter split mapping not byte-stable across "
-                         "context/topology overloads\n";
+        const auto again = nmap::map_with_splitting(g, ctx);
+        if (again.mapping != first.mapping || again.comm_cost != first.comm_cost) {
+            std::cerr << "default-parameter split mapping not byte-stable across runs\n";
             return false;
         }
     }
@@ -347,23 +341,23 @@ int run_chain_report(bool smoke) {
 
 void BM_ExactMcf(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
-    const auto topo = bench::ample_mesh_for(g);
-    const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
+    const auto mapping = nmap::map_with_single_path(g, ctx).mapping;
     const auto d = noc::build_commodities(g, mapping);
     lp::McfOptions opt;
     opt.objective = lp::McfObjective::MinMaxLoad;
-    for (auto _ : state) benchmark::DoNotOptimize(lp::solve_mcf(topo, d, opt).objective);
+    for (auto _ : state) benchmark::DoNotOptimize(lp::solve_mcf(ctx, d, opt).objective);
 }
 
 void BM_ApproxMcf(benchmark::State& state, const char* app) {
     const auto g = apps::make_application(app);
-    const auto topo = bench::ample_mesh_for(g);
-    const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
+    const auto mapping = nmap::map_with_single_path(g, ctx).mapping;
     const auto d = noc::build_commodities(g, mapping);
     lp::McfOptions opt;
     opt.objective = lp::McfObjective::MinMaxLoad;
     opt.use_exact_lp = false;
-    for (auto _ : state) benchmark::DoNotOptimize(lp::solve_mcf(topo, d, opt).objective);
+    for (auto _ : state) benchmark::DoNotOptimize(lp::solve_mcf(ctx, d, opt).objective);
 }
 
 void BM_WarmChain(benchmark::State& state, bool exact, std::size_t cores) {

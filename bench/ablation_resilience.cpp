@@ -33,9 +33,10 @@ struct Resilience {
 
 Resilience evaluate(const graph::CoreGraph& g) {
     const auto base = bench::ample_mesh_for(g);
-    const auto result = nmap::map_with_single_path(g, base);
+    const auto base_ctx = noc::EvalContext::borrow(base);
+    const auto result = nmap::map_with_single_path(g, base_ctx);
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(base, d);
+    const auto routed = nmap::route_single_min_paths(base_ctx, d);
     // Budget: the single-path design's provisioned uniform bandwidth plus
     // the usual engineering margin (links are sized with headroom).
     const double budget = routed.max_load * 1.10;
@@ -43,6 +44,10 @@ Resilience evaluate(const graph::CoreGraph& g) {
 
     Resilience r;
     r.links = base.link_count();
+    // One context over a working copy of the fabric: its distance table is
+    // capacity-independent, and each link's trial re-caps every link below.
+    auto degraded = base;
+    const auto degraded_ctx = noc::EvalContext::borrow(degraded);
     for (std::size_t l = 0; l < base.link_count(); ++l) {
         // (a) Static single-path routing survives iff the link was unused.
         if (routed.loads[l] <= 1e-9) ++r.single_path_survives;
@@ -51,14 +56,13 @@ Resilience evaluate(const graph::CoreGraph& g) {
         // and every other link capped at the budget. The Frank–Wolfe probe
         // is approximate, so a residual violation below 0.5% of the demand
         // counts as survivable (the exact LP would clear it).
-        auto degraded = base;
         degraded.set_uniform_capacity(budget);
         degraded.set_link_capacity(static_cast<noc::LinkId>(l), 1e-3);
         lp::McfOptions opt;
         opt.objective = lp::McfObjective::MinSlack;
         opt.use_exact_lp = false;
         opt.approx_iterations = 96;
-        const auto mcf = lp::solve_mcf(degraded, d, opt);
+        const auto mcf = lp::solve_mcf(degraded_ctx, d, opt);
         if (mcf.objective <= 0.005 * demand) ++r.split_survives;
     }
     return r;

@@ -18,40 +18,40 @@ noc::Topology ample_mesh_for(const graph::CoreGraph& graph) {
     return noc::Topology::smallest_mesh_for(graph.node_count(), kAmpleCapacity);
 }
 
-double mapping_cost(const graph::CoreGraph& graph, const noc::Topology& topo,
+double mapping_cost(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                     const noc::Mapping& mapping) {
-    return noc::communication_cost(topo, noc::build_commodities(graph, mapping));
+    return noc::communication_cost(ctx, noc::build_commodities(graph, mapping));
 }
 
-double dimension_ordered_bandwidth(const graph::CoreGraph& graph, const noc::Topology& topo,
+double dimension_ordered_bandwidth(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                    const noc::Mapping& mapping) {
-    return noc::max_load(noc::xy_loads(topo, noc::build_commodities(graph, mapping)));
+    return noc::max_load(noc::xy_loads(ctx.topology(), noc::build_commodities(graph, mapping)));
 }
 
-double min_path_bandwidth(const graph::CoreGraph& graph, const noc::Topology& topo,
+double min_path_bandwidth(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                           const noc::Mapping& mapping) {
     const auto routed =
-        nmap::route_single_min_paths(topo, noc::build_commodities(graph, mapping));
+        nmap::route_single_min_paths(ctx, noc::build_commodities(graph, mapping));
     return routed.max_load;
 }
 
-double split_bandwidth(const graph::CoreGraph& graph, const noc::Topology& topo,
+double split_bandwidth(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                        const noc::Mapping& mapping, bool quadrant) {
     lp::McfOptions opt;
     opt.objective = lp::McfObjective::MinMaxLoad;
     opt.quadrant_restricted = quadrant;
     const auto result =
-        lp::solve_mcf(topo, noc::build_commodities(graph, mapping), opt);
+        lp::solve_mcf(ctx, noc::build_commodities(graph, mapping), opt);
     return result.objective;
 }
 
-double best_split_bandwidth(const graph::CoreGraph& graph, const noc::Topology& topo,
+double best_split_bandwidth(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                             const noc::Mapping& nmap_mapping, bool quadrant) {
-    const double rerouted = split_bandwidth(graph, topo, nmap_mapping, quadrant);
+    const double rerouted = split_bandwidth(graph, ctx, nmap_mapping, quadrant);
     nmap::SplitOptions opt;
     opt.mode = quadrant ? nmap::SplitMode::MinPaths : nmap::SplitMode::AllPaths;
     opt.optimize_bandwidth = true;
-    const auto searched = nmap::map_with_splitting(graph, topo, opt);
+    const auto searched = nmap::map_with_splitting(graph, ctx, opt);
     return std::min(rerouted, noc::max_load(searched.loads));
 }
 
@@ -61,13 +61,13 @@ std::vector<Fig3Row> run_fig3_costs() {
     std::vector<Fig3Row> rows;
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
-        const auto topo = ample_mesh_for(g);
+        const noc::EvalContext ctx(ample_mesh_for(g));
         Fig3Row row;
         row.app = info.name;
-        row.pmap = engine::map_by_name("pmap", g, topo).comm_cost;
-        row.gmap = engine::map_by_name("gmap", g, topo).comm_cost;
-        row.pbb = engine::map_by_name("pbb", g, topo).comm_cost;
-        row.nmap = engine::map_by_name("nmap", g, topo).comm_cost;
+        row.pmap = engine::map_by_name("pmap", g, ctx).comm_cost;
+        row.gmap = engine::map_by_name("gmap", g, ctx).comm_cost;
+        row.pbb = engine::map_by_name("pbb", g, ctx).comm_cost;
+        row.nmap = engine::map_by_name("nmap", g, ctx).comm_cost;
         rows.push_back(row);
     }
     return rows;

@@ -11,8 +11,7 @@
 
 #include "graph/core_graph.hpp"
 #include "lp/mcf.hpp"
-#include "nmap/result.hpp"
-#include "noc/topology.hpp"
+#include "noc/eval_context.hpp"
 
 namespace nocmap::bench {
 
@@ -24,27 +23,27 @@ constexpr double kAmpleCapacity = 1e9;
 noc::Topology ample_mesh_for(const graph::CoreGraph& graph);
 
 /// Equation-7 cost of a complete mapping.
-double mapping_cost(const graph::CoreGraph& graph, const noc::Topology& topo,
+double mapping_cost(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                     const noc::Mapping& mapping);
 
 /// Peak link load under XY dimension-ordered routing (the "D" series of
 /// Figure 4).
-double dimension_ordered_bandwidth(const graph::CoreGraph& graph, const noc::Topology& topo,
+double dimension_ordered_bandwidth(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                    const noc::Mapping& mapping);
 
 /// Peak link load under NMAP's congestion-aware single-min-path routing.
-double min_path_bandwidth(const graph::CoreGraph& graph, const noc::Topology& topo,
+double min_path_bandwidth(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                           const noc::Mapping& mapping);
 
 /// Minimum uniform bandwidth with split traffic (exact LP MinMaxLoad);
 /// quadrant=true restricts to minimum paths (NMAPTM), false is NMAPTA.
-double split_bandwidth(const graph::CoreGraph& graph, const noc::Topology& topo,
+double split_bandwidth(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                        const noc::Mapping& mapping, bool quadrant);
 
 /// Figure 4's NMAPTM/NMAPTA series: the best bandwidth over (a) re-routing
 /// the given cost-optimal NMAP mapping with split traffic and (b) the
 /// bandwidth-optimizing split swap search (SplitOptions::optimize_bandwidth).
-double best_split_bandwidth(const graph::CoreGraph& graph, const noc::Topology& topo,
+double best_split_bandwidth(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                             const noc::Mapping& nmap_mapping, bool quadrant);
 
 /// Convenience: run the four mapping algorithms of Figure 3 and return

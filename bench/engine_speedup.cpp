@@ -1,15 +1,15 @@
-// Engine ablation: wall time of one full O(|U|^2) pairwise-swap sweep under
-// the three candidate-evaluation modes of the mapping engine —
+// Engine ablation: wall time of one full O(|U|^2) pairwise-swap sweep —
 //
-//   naive        every candidate is fully re-routed (the paper's literal
-//                pseudocode),
-//   incremental  engine::IncrementalEvaluator Eq.7 deltas prune candidates,
-//                routing only acceptable ones,
-//   parallel     incremental + concurrent scoring of each sweep row.
+//   naive     every candidate is fully re-routed (the paper's literal
+//             pseudocode; the test suite's reference oracle),
+//   nmap      map_with_single_path: Eq.7 deltas prune candidates and the
+//             survivors are scored by the incremental router's ledger
+//             replay,
+//   parallel  nmap with concurrent scoring of each sweep row.
 //
-// All three return bit-identical mappings (tests/engine/test_sweep.cpp), so
-// the ratio is pure sweep-throughput speedup. On the 64-core random graph
-// the incremental mode must clear >= 5x.
+// All three return bit-identical mappings (tests/nmap/
+// test_single_path_oracle.cpp), so the ratio is pure sweep-throughput
+// speedup. On the 64-core random graph nmap must clear >= 5x.
 
 #include <benchmark/benchmark.h>
 
@@ -23,6 +23,8 @@
 #include "nmap/single_path.hpp"
 #include "util/table.hpp"
 
+#include "../tests/nmap/naive_single_path.hpp"
+
 namespace {
 
 using namespace nocmap;
@@ -35,20 +37,24 @@ graph::CoreGraph make_random64() {
     return generate_random_core_graph(cfg);
 }
 
-nmap::SinglePathOptions mode_options(nmap::SweepEval eval, std::size_t threads) {
+enum class Mode { Naive, Nmap, Parallel };
+
+/// One sweep: the route-every-candidate oracle, or nmap serial / on all
+/// hardware threads.
+engine::MappingResult run_mode(const graph::CoreGraph& g, const noc::EvalContext& ctx,
+                               Mode mode) {
+    if (mode == Mode::Naive) return testing_oracle::naive_single_path(g, ctx);
     nmap::SinglePathOptions opt;
-    opt.max_sweeps = 1;
-    opt.eval = eval;
-    opt.threads = threads;
-    return opt;
+    opt.threads = mode == Mode::Parallel ? 0 : 1;
+    return nmap::map_with_single_path(g, ctx, opt);
 }
 
-double time_mapping_ms(const graph::CoreGraph& g, const noc::Topology& topo,
-                       const nmap::SinglePathOptions& opt, std::size_t repeats) {
+double time_mapping_ms(const graph::CoreGraph& g, const noc::EvalContext& ctx, Mode mode,
+                       std::size_t repeats) {
     double best = std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < repeats; ++r) {
         const auto start = std::chrono::steady_clock::now();
-        const auto result = nmap::map_with_single_path(g, topo, opt);
+        const auto result = run_mode(g, ctx, mode);
         const auto stop = std::chrono::steady_clock::now();
         benchmark::DoNotOptimize(result.comm_cost);
         best = std::min(best,
@@ -68,44 +74,40 @@ void print_reproduction() {
     workloads.push_back({"random64", make_random64()});
 
     util::Table table("Engine sweep evaluation — one full pairwise sweep, wall time");
-    table.set_header({"workload", "cores", "naive (ms)", "incr (ms)", "par (ms)",
-                      "incr speedup", "par speedup"});
+    table.set_header({"workload", "cores", "naive (ms)", "nmap (ms)", "par (ms)",
+                      "nmap speedup", "par speedup"});
     std::vector<std::vector<std::string>> csv;
     for (const Workload& w : workloads) {
-        const auto topo = bench::ample_mesh_for(w.graph);
+        const noc::EvalContext ctx(bench::ample_mesh_for(w.graph));
         const std::size_t repeats = w.graph.node_count() >= 64 ? 1 : 3;
-        const double naive_ms =
-            time_mapping_ms(w.graph, topo, mode_options(nmap::SweepEval::Naive, 1), repeats);
-        const double incr_ms = time_mapping_ms(
-            w.graph, topo, mode_options(nmap::SweepEval::Incremental, 1), repeats);
-        const double par_ms = time_mapping_ms(
-            w.graph, topo, mode_options(nmap::SweepEval::Incremental, 0), repeats);
-        const double incr_speedup = naive_ms / incr_ms;
+        const double naive_ms = time_mapping_ms(w.graph, ctx, Mode::Naive, repeats);
+        const double nmap_ms = time_mapping_ms(w.graph, ctx, Mode::Nmap, repeats);
+        const double par_ms = time_mapping_ms(w.graph, ctx, Mode::Parallel, repeats);
+        const double nmap_speedup = naive_ms / nmap_ms;
         const double par_speedup = naive_ms / par_ms;
         table.add_row({w.name, util::Table::num(static_cast<long long>(w.graph.node_count())),
-                       util::Table::num(naive_ms, 2), util::Table::num(incr_ms, 2),
-                       util::Table::num(par_ms, 2), util::Table::num(incr_speedup, 1),
+                       util::Table::num(naive_ms, 2), util::Table::num(nmap_ms, 2),
+                       util::Table::num(par_ms, 2), util::Table::num(nmap_speedup, 1),
                        util::Table::num(par_speedup, 1)});
         csv.push_back({w.name, util::Table::num(static_cast<long long>(w.graph.node_count())),
-                       util::Table::num(naive_ms, 3), util::Table::num(incr_ms, 3),
-                       util::Table::num(par_ms, 3), util::Table::num(incr_speedup, 2),
+                       util::Table::num(naive_ms, 3), util::Table::num(nmap_ms, 3),
+                       util::Table::num(par_ms, 3), util::Table::num(nmap_speedup, 2),
                        util::Table::num(par_speedup, 2)});
     }
     table.print(std::cout);
-    std::cout << "(acceptance: incremental >= 5x over naive on random64; identical "
+    std::cout << "(acceptance: nmap >= 5x over naive on random64; identical "
                  "mappings in all modes)\n";
     bench::try_write_csv("engine_speedup.csv",
-                         {"workload", "cores", "naive_ms", "incremental_ms", "parallel_ms",
-                          "incremental_speedup", "parallel_speedup"},
+                         {"workload", "cores", "naive_ms", "nmap_ms", "parallel_ms",
+                          "nmap_speedup", "parallel_speedup"},
                          csv);
 }
 
-void bm_sweep(benchmark::State& state, nmap::SweepEval eval, std::size_t threads) {
+void bm_sweep(benchmark::State& state, Mode mode) {
     const auto g = make_random64();
-    const auto topo = bench::ample_mesh_for(g);
-    const auto opt = mode_options(eval, threads);
+    const noc::EvalContext ctx(bench::ample_mesh_for(g));
     for (auto _ : state) {
-        const auto result = nmap::map_with_single_path(g, topo, opt);
+        const auto result = run_mode(g, ctx, mode);
         benchmark::DoNotOptimize(result.comm_cost);
     }
 }
@@ -114,13 +116,11 @@ void bm_sweep(benchmark::State& state, nmap::SweepEval eval, std::size_t threads
 
 int main(int argc, char** argv) {
     print_reproduction();
-    benchmark::RegisterBenchmark("sweep64/naive", bm_sweep, nmap::SweepEval::Naive, 1)
+    benchmark::RegisterBenchmark("sweep64/naive", bm_sweep, Mode::Naive)
         ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("sweep64/incremental", bm_sweep,
-                                 nmap::SweepEval::Incremental, 1)
+    benchmark::RegisterBenchmark("sweep64/nmap", bm_sweep, Mode::Nmap)
         ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark("sweep64/parallel", bm_sweep, nmap::SweepEval::Incremental,
-                                 0)
+    benchmark::RegisterBenchmark("sweep64/parallel", bm_sweep, Mode::Parallel)
         ->Unit(benchmark::kMillisecond);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

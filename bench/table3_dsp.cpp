@@ -33,9 +33,10 @@ using namespace nocmap;
 void print_reproduction() {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, bench::kAmpleCapacity);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
 
-    const double minp_bw = bench::min_path_bandwidth(g, topo, result.mapping);
+    const double minp_bw = bench::min_path_bandwidth(g, ctx, result.mapping);
     // Table 3's "split BW" is the per-link bandwidth reservation of the
     // heaviest connection: with single-path routing its full 600 MB/s sits
     // on each link of one path, while split routing spreads it across the
@@ -46,19 +47,19 @@ void print_reproduction() {
         [](const noc::Commodity& a, const noc::Commodity& b) { return a.value < b.value; });
     lp::McfOptions minmax;
     minmax.objective = lp::McfObjective::MinMaxLoad;
-    double split_bw = lp::solve_mcf(topo, {heaviest}, minmax).objective;
+    double split_bw = lp::solve_mcf(ctx, {heaviest}, minmax).objective;
     // The NMAP mapping is cost-optimal; if it parked the heavy pair where
     // fewer disjoint paths exist, the bandwidth-optimizing variant finds the
     // reservation-minimal placement (the paper sizes links for the design).
     {
         nmap::SplitOptions opt;
         opt.optimize_bandwidth = true;
-        const auto bw_mapping = nmap::map_with_splitting(g, topo, opt).mapping;
+        const auto bw_mapping = nmap::map_with_splitting(g, ctx, opt).mapping;
         const auto d2 = noc::build_commodities(g, bw_mapping);
         const noc::Commodity h2 = *std::max_element(
             d2.begin(), d2.end(),
             [](const noc::Commodity& a, const noc::Commodity& b) { return a.value < b.value; });
-        split_bw = std::min(split_bw, lp::solve_mcf(topo, {h2}, minmax).objective);
+        split_bw = std::min(split_bw, lp::solve_mcf(ctx, {h2}, minmax).objective);
     }
 
     util::Table table("Table 3 — DSP NoC design results");
@@ -77,7 +78,7 @@ void print_reproduction() {
 
     // The generated netlist of the design (Figure 5(b) counterpart).
     const auto commodities = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(topo, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     const auto flows = sim::make_single_path_flows(topo, commodities, routed.routes);
     sim::NetlistConfig ncfg;
     ncfg.design_name = "dsp_filter_noc";
@@ -96,9 +97,10 @@ void print_reproduction() {
 void BM_DspDesignFlow(benchmark::State& state) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, bench::kAmpleCapacity);
+    const auto ctx = noc::EvalContext::borrow(topo);
     for (auto _ : state) {
-        const auto result = nmap::map_with_single_path(g, topo);
-        benchmark::DoNotOptimize(bench::split_bandwidth(g, topo, result.mapping, false));
+        const auto result = nmap::map_with_single_path(g, ctx);
+        benchmark::DoNotOptimize(bench::split_bandwidth(g, ctx, result.mapping, false));
     }
 }
 BENCHMARK(BM_DspDesignFlow)->Unit(benchmark::kMillisecond);

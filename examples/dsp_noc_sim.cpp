@@ -27,16 +27,17 @@ int main(int argc, char** argv) {
 
     const auto dsp = apps::make_dsp_filter();
     auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
 
     // Map and route.
-    const auto mapped = nmap::map_with_single_path(dsp, topo);
+    const auto mapped = nmap::map_with_single_path(dsp, ctx);
     const auto commodities = noc::build_commodities(dsp, mapped.mapping);
-    const auto routed = nmap::route_single_min_paths(topo, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     const auto single_flows = sim::make_single_path_flows(topo, commodities, routed.routes);
 
     lp::McfOptions mcf;
     mcf.objective = lp::McfObjective::MinMaxLoad;
-    const auto split = lp::solve_mcf(topo, commodities, mcf);
+    const auto split = lp::solve_mcf(ctx, commodities, mcf);
     const auto split_flows = sim::make_split_flows(topo, commodities, split.flows);
 
     std::cout << "DSP mapping (3x2 mesh):\n" << mapped.mapping.to_string(dsp, topo);

@@ -341,9 +341,10 @@ int cmd_apps() {
 
 int cmd_map(const CliOptions& opt, const graph::CoreGraph& g) {
     const auto topo = make_topology(opt, g);
+    const auto ctx = noc::EvalContext::borrow(topo);
     engine::MapRequest request;
     request.graph = &g;
-    request.topology = &topo;
+    request.context = &ctx;
     request.params = opt.params;
     request.seed = opt.seed;
     // --deadline-ms: the same fired-flag conversion PortfolioRunner does —
@@ -390,7 +391,6 @@ int cmd_map(const CliOptions& opt, const graph::CoreGraph& g) {
         }
         const eval::EvalSpec spec = eval::parse_spec(opt.eval_params);
         if (spec.simulated() || spec.refine_sim) {
-            const auto ctx = noc::EvalContext::borrow(topo);
             evaluation = eval::apply(g, ctx, result, spec, request.cancelled);
             if (deadline_fired && deadline_fired->load(std::memory_order_relaxed)) {
                 std::cerr << "error["
@@ -410,7 +410,7 @@ int cmd_map(const CliOptions& opt, const graph::CoreGraph& g) {
               << describe(result, g, topo);
     if (result.feasible) {
         const auto d = noc::build_commodities(g, result.mapping);
-        std::cout << "energy: " << noc::mapping_energy_mw(topo, d) << " mW\n";
+        std::cout << "energy: " << noc::mapping_energy_mw(ctx, d) << " mW\n";
     }
     if (evaluation.sim.present) {
         const eval::SimMetrics& s = evaluation.sim;
@@ -432,7 +432,8 @@ int cmd_map(const CliOptions& opt, const graph::CoreGraph& g) {
 
 int cmd_bw(const CliOptions& opt, const graph::CoreGraph& g) {
     const auto topo = make_topology(opt, g);
-    const auto nm = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto nm = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, nm.mapping);
     lp::McfOptions tm;
     tm.objective = lp::McfObjective::MinMaxLoad;
@@ -446,9 +447,9 @@ int cmd_bw(const CliOptions& opt, const graph::CoreGraph& g) {
                        util::Table::num(noc::max_load(noc::xy_loads(topo, d)), 1)});
     table.add_row({"single min-path", util::Table::num(noc::max_load(nm.loads), 1)});
     table.add_row({"split, min paths (TM)",
-                   util::Table::num(lp::solve_mcf(topo, d, tm).objective, 1)});
+                   util::Table::num(lp::solve_mcf(ctx, d, tm).objective, 1)});
     table.add_row({"split, all paths (TA)",
-                   util::Table::num(lp::solve_mcf(topo, d, ta).objective, 1)});
+                   util::Table::num(lp::solve_mcf(ctx, d, ta).objective, 1)});
     table.print(std::cout);
     return 0;
 }
@@ -734,13 +735,14 @@ int cmd_serve(const CliOptions& opt) {
 
 int cmd_netlist(const CliOptions& opt, const graph::CoreGraph& g) {
     const auto topo = make_topology(opt, g);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     if (!result.feasible) {
         std::cerr << "no feasible single-path mapping under these constraints\n";
         return 1;
     }
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(topo, d);
+    const auto routed = nmap::route_single_min_paths(ctx, d);
     const auto flows = sim::make_single_path_flows(topo, d, routed.routes);
     sim::NetlistConfig cfg;
     cfg.design_name = g.name().empty() ? "design" : g.name();

@@ -11,9 +11,8 @@
 #include <functional>
 
 #include "graph/core_graph.hpp"
-#include "nmap/result.hpp"
+#include "engine/mapping_result.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::baselines {
 
@@ -40,12 +39,9 @@ struct AnnealingOptions {
 /// Minimizes the Equation-7 cost by annealed tile swaps starting from
 /// NMAP's initialize() placement; scores the final mapping with the
 /// single-minimum-path router (same reporting as the other algorithms).
-nmap::MappingResult annealing_map(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                  const AnnealingOptions& options = {});
-
-/// Context-threaded run (portfolio entry point): the walk's evaluator,
-/// router and final scoring read the shared flat tables. Bit-identical.
-nmap::MappingResult annealing_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                                  const AnnealingOptions& options = {});
+/// The walk's evaluator, router and final scoring read the context's flat
+/// tables.
+engine::MappingResult annealing_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                                    const AnnealingOptions& options = {});
 
 } // namespace nocmap::baselines

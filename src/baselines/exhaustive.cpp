@@ -25,6 +25,7 @@ namespace {
 
 struct SearchState {
     const graph::CoreGraph& graph;
+    const noc::EvalContext& ctx;
     const noc::Topology& topo;
     std::vector<noc::TileId> assignment; ///< tile of core i (prefix valid)
     std::vector<char> occupied;
@@ -55,14 +56,14 @@ void search(SearchState& s, std::size_t core) {
             const graph::CoreEdge& edge = s.graph.edges()[static_cast<std::size_t>(e)];
             if (static_cast<std::size_t>(edge.dst) < core)
                 added += edge.bandwidth *
-                         static_cast<double>(s.topo.distance(
+                         static_cast<double>(s.ctx.distance(
                              tile, s.assignment[static_cast<std::size_t>(edge.dst)]));
         }
         for (const std::int32_t e : s.graph.in_edges(node)) {
             const graph::CoreEdge& edge = s.graph.edges()[static_cast<std::size_t>(e)];
             if (static_cast<std::size_t>(edge.src) < core)
                 added += edge.bandwidth *
-                         static_cast<double>(s.topo.distance(
+                         static_cast<double>(s.ctx.distance(
                              tile, s.assignment[static_cast<std::size_t>(edge.src)]));
         }
         s.assignment[core] = tile;
@@ -76,8 +77,9 @@ void search(SearchState& s, std::size_t core) {
 
 } // namespace
 
-nmap::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                   const ExhaustiveOptions& options) {
+engine::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                                     const ExhaustiveOptions& options) {
+    const noc::Topology& topo = ctx.topology();
     if (graph.node_count() == 0)
         throw std::invalid_argument("exhaustive_map: empty core graph");
     if (graph.node_count() > topo.tile_count())
@@ -88,6 +90,7 @@ nmap::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::Top
                                     std::to_string(placements) + " placements)");
 
     SearchState state{graph,
+                      ctx,
                       topo,
                       std::vector<noc::TileId>(graph.node_count(), noc::kInvalidTile),
                       std::vector<char>(topo.tile_count(), 0),
@@ -99,7 +102,7 @@ nmap::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::Top
     noc::Mapping mapping(graph.node_count(), topo.tile_count());
     for (std::size_t core = 0; core < graph.node_count(); ++core)
         mapping.place(static_cast<graph::NodeId>(core), state.best_assignment[core]);
-    return nmap::scored_result(graph, topo, std::move(mapping));
+    return nmap::scored_result(graph, ctx, std::move(mapping));
 }
 
 } // namespace nocmap::baselines

@@ -7,8 +7,8 @@
 // quantify how close NMAP/PBB get on small designs like the DSP filter.
 
 #include "graph/core_graph.hpp"
-#include "nmap/result.hpp"
-#include "noc/topology.hpp"
+#include "engine/mapping_result.hpp"
+#include "noc/eval_context.hpp"
 
 namespace nocmap::baselines {
 
@@ -20,8 +20,8 @@ struct ExhaustiveOptions {
 
 /// Returns the optimal mapping by exhaustive search; throws
 /// std::invalid_argument when the instance exceeds `max_placements`.
-nmap::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                   const ExhaustiveOptions& options = {});
+engine::MappingResult exhaustive_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                                     const ExhaustiveOptions& options = {});
 
 /// Number of distinct placements |U|!/(|U|-|V|)! (saturating).
 std::uint64_t placement_count(std::size_t cores, std::size_t tiles);

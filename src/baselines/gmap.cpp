@@ -8,18 +8,12 @@
 
 namespace nocmap::baselines {
 
-namespace {
-
-noc::Mapping gmap_place(const graph::CoreGraph& graph, const noc::Topology& topo,
-                        const noc::EvalContext* ctx) {
+noc::Mapping gmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
+    const noc::Topology& topo = ctx.topology();
     const std::size_t cores = graph.node_count();
     if (cores == 0) throw std::invalid_argument("gmap: empty core graph");
     if (cores > topo.tile_count())
         throw std::invalid_argument("gmap: more cores than tiles");
-
-    const auto distance = [&](noc::TileId a, noc::TileId b) {
-        return ctx ? ctx->distance(a, b) : topo.distance(a, b);
-    };
 
     // Static order: decreasing total communication demand.
     std::vector<graph::NodeId> order(cores);
@@ -42,7 +36,7 @@ noc::Mapping gmap_place(const graph::CoreGraph& graph, const noc::Topology& topo
                 if (!mapping.is_placed(other)) continue;
                 const double comm = graph.undirected_comm(core, other);
                 if (comm <= 0.0) continue;
-                cost += comm * static_cast<double>(distance(tile, mapping.tile_of(other)));
+                cost += comm * static_cast<double>(ctx.distance(tile, mapping.tile_of(other)));
             }
             const std::size_t degree = topo.degree(tile);
             // First core (cost always 0): maximum-degree tile; afterwards the
@@ -59,21 +53,7 @@ noc::Mapping gmap_place(const graph::CoreGraph& graph, const noc::Topology& topo
     return mapping;
 }
 
-} // namespace
-
-noc::Mapping gmap_placement(const graph::CoreGraph& graph, const noc::Topology& topo) {
-    return gmap_place(graph, topo, nullptr);
-}
-
-noc::Mapping gmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
-    return gmap_place(graph, ctx.topology(), &ctx);
-}
-
-nmap::MappingResult gmap_map(const graph::CoreGraph& graph, const noc::Topology& topo) {
-    return nmap::scored_result(graph, topo, gmap_placement(graph, topo));
-}
-
-nmap::MappingResult gmap_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
+engine::MappingResult gmap_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
     return nmap::scored_result(graph, ctx, gmap_placement(graph, ctx));
 }
 

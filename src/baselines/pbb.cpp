@@ -46,9 +46,11 @@ std::vector<std::int32_t> nearest_free_distance(const noc::Topology& topo,
     return dist;
 }
 
-nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology& topo,
-                             const noc::EvalContext* ctx, const PbbOptions& options,
-                             PbbStats* stats_out) {
+} // namespace
+
+engine::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                              const PbbOptions& options, PbbStats* stats_out) {
+    const noc::Topology& topo = ctx.topology();
     const std::size_t cores = graph.node_count();
     if (cores == 0) throw std::invalid_argument("pbb: empty core graph");
     if (cores > topo.tile_count())
@@ -89,15 +91,10 @@ nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology&
         for (std::size_t k = 0; k <= a; ++k) future_value[k] += e.bandwidth;
     }
 
-    const auto distance = [&](noc::TileId a, noc::TileId b) {
-        return ctx ? ctx->distance(a, b) : topo.distance(a, b);
-    };
-
     // Incumbent: greedy placement cost (upper bound to prune against).
-    noc::Mapping best_mapping = ctx ? gmap_placement(graph, *ctx) : gmap_placement(graph, topo);
-    const auto commodities = noc::build_commodities(graph, best_mapping);
-    double incumbent = ctx ? noc::communication_cost(*ctx, commodities)
-                           : noc::communication_cost(topo, commodities);
+    noc::Mapping best_mapping = gmap_placement(graph, ctx);
+    double incumbent =
+        noc::communication_cost(ctx, noc::build_commodities(graph, best_mapping));
 
     // Open list ordered by lower bound; worst entries dropped at capacity.
     std::multimap<double, SearchNode> open;
@@ -154,8 +151,8 @@ nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology&
 
             double partial = node.partial_cost;
             for (const Earlier& e : earlier_edges[level])
-                partial += e.value *
-                           static_cast<double>(distance(tile, node.assigned[e.partner_position]));
+                partial += e.value * static_cast<double>(ctx.distance(
+                                         tile, node.assigned[e.partner_position]));
 
             // Admissible bound: cross edges need at least the distance from
             // their placed endpoint to the nearest free tile (computed on
@@ -194,22 +191,7 @@ nmap::MappingResult pbb_impl(const graph::CoreGraph& graph, const noc::Topology&
     stats.exhausted = open.empty();
 
     if (stats_out) *stats_out = stats;
-    if (ctx)
-        return nmap::scored_result(graph, *ctx, std::move(best_mapping),
-                                   stats.expansions + 1);
-    return nmap::scored_result(graph, topo, std::move(best_mapping), stats.expansions + 1);
-}
-
-} // namespace
-
-nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::Topology& topo,
-                            const PbbOptions& options, PbbStats* stats_out) {
-    return pbb_impl(graph, topo, nullptr, options, stats_out);
-}
-
-nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                            const PbbOptions& options, PbbStats* stats_out) {
-    return pbb_impl(graph, ctx.topology(), &ctx, options, stats_out);
+    return nmap::scored_result(graph, ctx, std::move(best_mapping), stats.expansions + 1);
 }
 
 } // namespace nocmap::baselines

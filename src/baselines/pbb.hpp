@@ -22,9 +22,8 @@
 #include <cstddef>
 
 #include "graph/core_graph.hpp"
-#include "nmap/result.hpp"
+#include "engine/mapping_result.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::baselines {
 
@@ -45,14 +44,10 @@ struct PbbStats {
 };
 
 /// Runs PBB and scores the final mapping with the single-minimum-path
-/// router. `stats_out`, when non-null, receives search statistics.
-nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::Topology& topo,
-                            const PbbOptions& options = {}, PbbStats* stats_out = nullptr);
-
-/// Context-threaded run: the bound/partial-cost distances, the incumbent's
-/// Eq.7 cost and the final scoring re-route all read the shared flat
-/// tables. Bit-identical result and statistics.
-nmap::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                            const PbbOptions& options = {}, PbbStats* stats_out = nullptr);
+/// router. `stats_out`, when non-null, receives search statistics. The
+/// bound/partial-cost distances, the incumbent's Eq.7 cost and the final
+/// scoring re-route all read the context's flat tables.
+engine::MappingResult pbb_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                              const PbbOptions& options = {}, PbbStats* stats_out = nullptr);
 
 } // namespace nocmap::baselines

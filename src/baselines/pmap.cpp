@@ -7,18 +7,12 @@
 
 namespace nocmap::baselines {
 
-namespace {
-
-noc::Mapping pmap_place(const graph::CoreGraph& graph, const noc::Topology& topo,
-                        const noc::EvalContext* ctx) {
+noc::Mapping pmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
+    const noc::Topology& topo = ctx.topology();
     const std::size_t cores = graph.node_count();
     if (cores == 0) throw std::invalid_argument("pmap: empty core graph");
     if (cores > topo.tile_count())
         throw std::invalid_argument("pmap: more cores than tiles");
-
-    const auto distance = [&](noc::TileId a, noc::TileId b) {
-        return ctx ? ctx->distance(a, b) : topo.distance(a, b);
-    };
 
     noc::Mapping mapping(cores, topo.tile_count());
 
@@ -80,7 +74,7 @@ noc::Mapping pmap_place(const graph::CoreGraph& graph, const noc::Topology& topo
         for (std::size_t t = 0; t < topo.tile_count(); ++t) {
             const auto tile = static_cast<noc::TileId>(t);
             if (mapping.is_occupied(tile)) continue;
-            const std::int32_t d = distance(anchor, tile);
+            const std::int32_t d = ctx.distance(anchor, tile);
             if (d < best_distance) {
                 best_distance = d;
                 best_tile = tile;
@@ -92,21 +86,7 @@ noc::Mapping pmap_place(const graph::CoreGraph& graph, const noc::Topology& topo
     return mapping;
 }
 
-} // namespace
-
-noc::Mapping pmap_placement(const graph::CoreGraph& graph, const noc::Topology& topo) {
-    return pmap_place(graph, topo, nullptr);
-}
-
-noc::Mapping pmap_placement(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
-    return pmap_place(graph, ctx.topology(), &ctx);
-}
-
-nmap::MappingResult pmap_map(const graph::CoreGraph& graph, const noc::Topology& topo) {
-    return nmap::scored_result(graph, topo, pmap_placement(graph, topo));
-}
-
-nmap::MappingResult pmap_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
+engine::MappingResult pmap_map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) {
     return nmap::scored_result(graph, ctx, pmap_placement(graph, ctx));
 }
 

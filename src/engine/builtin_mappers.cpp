@@ -42,9 +42,8 @@ public:
     MapOutcome run(const MapRequest& request) const override {
         if (!request.graph)
             return MapOutcome::failure(MapErrorCode::Internal, "request has no graph");
-        if (!request.context && !request.topology)
-            return MapOutcome::failure(MapErrorCode::Internal,
-                                       "request has neither topology nor context");
+        if (!request.context)
+            return MapOutcome::failure(MapErrorCode::Internal, "request has no context");
         if (auto error = validate_params(request.params, specs_))
             return MapOutcome::failure(std::move(*error));
         if (request.cancelled && request.cancelled())
@@ -53,12 +52,12 @@ public:
         if (request.graph->node_count() == 0)
             return MapOutcome::failure(MapErrorCode::UnsupportedInstance,
                                        "empty core graph");
-        if (request.graph->node_count() > request.topo().tile_count())
+        if (request.graph->node_count() > request.context->tile_count())
             return MapOutcome::failure(
                 MapErrorCode::UnsupportedInstance,
                 "more cores than tiles (|V| = " +
                     std::to_string(request.graph->node_count()) + " > |U| = " +
-                    std::to_string(request.topo().tile_count()) + ")");
+                    std::to_string(request.context->tile_count()) + ")");
         try {
             return runner_(request);
         } catch (const std::invalid_argument& e) {
@@ -136,21 +135,8 @@ ParamSpec sweeps_spec() {
 
 // ------------------------------------------------------------------- nmap
 
-const char* const kEvalNames[] = {"naive", "incremental", "ledger-exact", "ledger-fast"};
-
-nmap::SweepEval parse_eval(const std::string& name) {
-    if (name == "naive") return nmap::SweepEval::Naive;
-    if (name == "incremental") return nmap::SweepEval::Incremental;
-    if (name == "ledger-fast") return nmap::SweepEval::LedgerFast;
-    return nmap::SweepEval::LedgerExact;
-}
-
 std::vector<ParamSpec> nmap_specs() {
     return {
-        enum_spec("eval", "ledger-exact",
-                  {kEvalNames[0], kEvalNames[1], kEvalNames[2], kEvalNames[3]},
-                  "candidate scoring: full re-route, Eq.7 delta pruning, or the "
-                  "link-load ledger (exact replay / fast rip-up-and-reroute)"),
         sweeps_spec(),
         int_spec("threads", 1, 0, 4096,
                  "worker threads per sweep row (0 = all hardware; any count is "
@@ -162,11 +148,9 @@ MapOutcome run_nmap(const MapRequest& request) {
     nmap::SinglePathOptions options;
     options.max_sweeps = static_cast<std::size_t>(request.params.int_or("sweeps", 1));
     options.threads = static_cast<std::size_t>(request.params.int_or("threads", 1));
-    options.eval = parse_eval(request.params.string_or("eval", "ledger-exact"));
     options.cancel = request.cancelled;
     return MapOutcome::success(
-        request.context ? nmap::map_with_single_path(*request.graph, *request.context, options)
-                        : nmap::map_with_single_path(*request.graph, request.topo(), options));
+        nmap::map_with_single_path(*request.graph, *request.context, options));
 }
 
 // ------------------------------------------------------------ split modes
@@ -192,9 +176,6 @@ std::vector<ParamSpec> split_specs() {
         bool_spec("optimize_bandwidth", false,
                   "Figure-4 variant: minimize the min-max link load instead of "
                   "MCF1/MCF2 under fixed capacities"),
-        bool_spec("routing_prefilter", false,
-                  "skip a candidate's MCF1 slack solve when the O(deg) single-path "
-                  "re-route already proves the bandwidth constraints hold"),
         sweeps_spec(),
         bool_spec("warm_start", false,
                   "warm-start the inner MCF engines across consecutive swap "
@@ -213,13 +194,10 @@ MapOutcome run_split(const MapRequest& request, nmap::SplitMode mode) {
     options.mcf_engine = parse_mcf_engine(request.params.string_or("mcf_engine", "auto"));
     options.exact_final_polish = request.params.bool_or("exact_final_polish", true);
     options.optimize_bandwidth = request.params.bool_or("optimize_bandwidth", false);
-    options.routing_prefilter = request.params.bool_or("routing_prefilter", false);
     options.warm_start = request.params.bool_or("warm_start", false);
     options.cancel = request.cancelled;
     return MapOutcome::success(
-        request.context
-            ? nmap::map_with_splitting(*request.graph, *request.context, options)
-            : nmap::map_with_splitting(*request.graph, request.topo(), options));
+        nmap::map_with_splitting(*request.graph, *request.context, options));
 }
 
 // -------------------------------------------------------------------- pbb
@@ -240,9 +218,7 @@ MapOutcome run_pbb(const MapRequest& request) {
         static_cast<std::size_t>(request.params.int_or("queue_capacity", 8192));
     options.max_expansions =
         static_cast<std::size_t>(request.params.int_or("max_expansions", 200000));
-    return MapOutcome::success(
-        request.context ? baselines::pbb_map(*request.graph, *request.context, options)
-                        : baselines::pbb_map(*request.graph, request.topo(), options));
+    return MapOutcome::success(baselines::pbb_map(*request.graph, *request.context, options));
 }
 
 // --------------------------------------------------------------------- sa
@@ -282,8 +258,7 @@ MapOutcome run_sa(const MapRequest& request) {
     options.bandwidth_aware = request.params.bool_or("bandwidth_aware", false);
     options.cancel = request.cancelled;
     return MapOutcome::success(
-        request.context ? baselines::annealing_map(*request.graph, *request.context, options)
-                        : baselines::annealing_map(*request.graph, request.topo(), options));
+        baselines::annealing_map(*request.graph, *request.context, options));
 }
 
 // ------------------------------------------------------------- exhaustive
@@ -302,28 +277,24 @@ MapOutcome run_exhaustive(const MapRequest& request) {
     // The search-space guard reports a typed error (the message matches the
     // throw exhaustive_map keeps for direct callers).
     const std::uint64_t placements = baselines::placement_count(
-        request.graph->node_count(), request.topo().tile_count());
+        request.graph->node_count(), request.context->tile_count());
     if (placements > options.max_placements)
         return MapOutcome::failure(MapErrorCode::SearchSpaceExceeded,
                                    "exhaustive_map: search space too large (" +
                                        std::to_string(placements) + " placements)",
                                    "max_placements");
     return MapOutcome::success(
-        baselines::exhaustive_map(*request.graph, request.topo(), options));
+        baselines::exhaustive_map(*request.graph, *request.context, options));
 }
 
 // ------------------------------------------------------- parameterless
 
 MapOutcome run_pmap(const MapRequest& request) {
-    return MapOutcome::success(request.context
-                                   ? baselines::pmap_map(*request.graph, *request.context)
-                                   : baselines::pmap_map(*request.graph, request.topo()));
+    return MapOutcome::success(baselines::pmap_map(*request.graph, *request.context));
 }
 
 MapOutcome run_gmap(const MapRequest& request) {
-    return MapOutcome::success(request.context
-                                   ? baselines::gmap_map(*request.graph, *request.context)
-                                   : baselines::gmap_map(*request.graph, request.topo()));
+    return MapOutcome::success(baselines::gmap_map(*request.graph, *request.context));
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "engine/incremental_router.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -15,18 +16,6 @@ constexpr double kBandwidthEps = 1e-6;
 constexpr double kInfeasibleCost = std::numeric_limits<double>::infinity();
 
 } // namespace
-
-IncrementalRouter::IncrementalRouter(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                     noc::Mapping mapping, RerouteOptions options)
-    : graph_(&graph), topo_(&topo),
-      owned_ctx_(std::make_shared<noc::EvalContext>(noc::EvalContext::borrow(topo))),
-      options_(options) {
-    // The flat distance table turns every hot-path distance/quadrant query
-    // into one load; its values equal Topology arithmetic exactly, so this
-    // is invisible to results. Shared: clones reuse the same table.
-    ctx_ = owned_ctx_.get();
-    bind(std::move(mapping));
-}
 
 IncrementalRouter::IncrementalRouter(const graph::CoreGraph& graph,
                                      const noc::EvalContext& ctx, noc::Mapping mapping,
@@ -48,16 +37,16 @@ void IncrementalRouter::bind(noc::Mapping mapping) {
         value_at_[p] = commodities_[order_[p]].value;
     }
     incident_flag_.assign(commodities_.size(), 0);
-    link_slot_.assign(topo_->link_count(), -1);
-    modified_links_.clear();
+    words_ = (topo_->link_count() + 63) / 64;
+    walked_.assign(topo_->tile_count(), 0);
+    route_masks_.assign(commodities_.size() * words_, 0);
+    for (std::size_t slot = 0; slot < commodities_.size(); ++slot) refresh_mask(slot);
     base_prefix_.assign(topo_->link_count(), 0.0);
     cand_prefix_.assign(topo_->link_count(), 0.0);
     prefix_stamp_.assign(topo_->link_count(), 0);
     prefix_epoch_ = 0; // stamps start stale: every link lazily initializes
     prefix_first_ = 0;
-    diff_flag_.assign(topo_->link_count(), 0);
-    in_diff_list_.assign(topo_->link_count(), 0);
-    diff_links_.clear();
+    diff_bits_.assign(words_, 0);
     diff_count_ = 0;
     full_route();
     refresh_committed_eval();
@@ -68,12 +57,11 @@ void IncrementalRouter::full_route() {
     routes_.assign(commodities_.size(), {});
     ledger_.assign(topo_->link_count(), {});
     loads_.assign(topo_->link_count(), 0.0);
-    const noc::DistanceOracle orc = oracle();
     for (std::size_t p = 0; p < order_.size(); ++p) {
         const std::size_t slot = order_[p];
         const noc::Commodity& c = commodities_[slot];
         noc::Route route = noc::least_congested_min_path(
-            orc, c.src_tile, c.dst_tile,
+            *ctx_, c.src_tile, c.dst_tile,
             [&](noc::LinkId l) { return loads_[static_cast<std::size_t>(l)]; }, scratch_);
         ++dijkstras_;
         for (const noc::LinkId l : route) {
@@ -109,17 +97,72 @@ double IncrementalRouter::ledger_sum(const std::vector<Pos>& crossings) const {
     return sum;
 }
 
-IncrementalRouter::PendingLink& IncrementalRouter::pending_link(noc::LinkId l) {
-    const std::int32_t slot = link_slot_[static_cast<std::size_t>(l)];
-    if (slot >= 0) return pending_pool_[static_cast<std::size_t>(slot)];
-    const auto fresh = static_cast<std::int32_t>(modified_links_.size());
-    link_slot_[static_cast<std::size_t>(l)] = fresh;
-    if (pending_pool_.size() <= static_cast<std::size_t>(fresh)) pending_pool_.emplace_back();
-    PendingLink& pl = pending_pool_[static_cast<std::size_t>(fresh)];
-    const std::vector<Pos>& committed = ledger_[static_cast<std::size_t>(l)];
-    pl.crossings.assign(committed.begin(), committed.end());
-    modified_links_.push_back(l);
-    return pl;
+void IncrementalRouter::refresh_mask(std::size_t slot) {
+    // The links the quadrant Dijkstra of this commodity can relax: out of a
+    // quadrant tile, into the quadrant, one hop closer to the destination.
+    // Every quadrant tile is reachable from the source over such links, so
+    // a walk from the source finds them all without scanning the fabric.
+    // Each lies on a minimal path, so when there are exactly `hops` of them
+    // they form the only path and no weight can change the route: the mask
+    // stays empty.
+    std::uint64_t* mask = route_masks_.data() + slot * words_;
+    std::fill(mask, mask + words_, 0);
+    const noc::TileId src = commodities_[slot].src_tile;
+    const noc::TileId dst = commodities_[slot].dst_tile;
+    std::int32_t links = 0;
+    walk_.assign(1, src);
+    for (std::size_t next = 0; next < walk_.size(); ++next) {
+        const noc::TileId u = walk_[next];
+        for (const noc::LinkId l : topo_->out_links(u)) {
+            const noc::TileId v = topo_->link(l).dst;
+            if (!ctx_->in_quadrant(v, src, dst) || distance(v, dst) >= distance(u, dst)) continue;
+            const auto i = static_cast<std::size_t>(l);
+            mask[i / 64] |= std::uint64_t{1} << (i % 64);
+            ++links;
+            if (!walked_[static_cast<std::size_t>(v)]) {
+                walked_[static_cast<std::size_t>(v)] = 1;
+                walk_.push_back(v);
+            }
+        }
+    }
+    for (const noc::TileId t : walk_) walked_[static_cast<std::size_t>(t)] = 0;
+    if (links == distance(src, dst)) std::fill(mask, mask + words_, 0);
+}
+
+bool IncrementalRouter::reads_differing_link(std::size_t slot) const {
+    const std::uint64_t* mask = route_masks_.data() + slot * words_;
+    for (std::size_t w = 0; w < words_; ++w)
+        if (mask[w] & diff_bits_[w]) return true;
+    return false;
+}
+
+void IncrementalRouter::mark_diff(std::size_t l, bool differs) {
+    std::uint64_t& word = diff_bits_[l / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (l % 64);
+    if (differs == ((word & bit) != 0)) return;
+    word ^= bit;
+    if (differs)
+        ++diff_count_;
+    else
+        --diff_count_;
+}
+
+template <typename Fn>
+void IncrementalRouter::for_each_diff_link(Fn&& fn) const {
+    for (std::size_t w = 0; w < words_; ++w)
+        for (std::uint64_t bits = diff_bits_[w]; bits != 0; bits &= bits - 1)
+            fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+}
+
+void IncrementalRouter::move_crossings(const noc::Route& from, const noc::Route& to, Pos p) {
+    for (const noc::LinkId l : from) {
+        std::vector<Pos>& crossings = ledger_[static_cast<std::size_t>(l)];
+        crossings.erase(std::lower_bound(crossings.begin(), crossings.end(), p));
+    }
+    for (const noc::LinkId l : to) {
+        std::vector<Pos>& crossings = ledger_[static_cast<std::size_t>(l)];
+        crossings.insert(std::lower_bound(crossings.begin(), crossings.end(), p), p);
+    }
 }
 
 void IncrementalRouter::collect_incident(noc::TileId a, noc::TileId b) {
@@ -194,23 +237,28 @@ void IncrementalRouter::exact_eval(double reject_at) {
     // prefix (base) and the candidate's (cand) — built by the same
     // ascending-position additions as a fresh routing, so the Dijkstra
     // weight is one array load and bit-identical to the sequential
-    // router's. A commodity re-routes only when some link of its quadrant
-    // currently carries different prefix loads in the two arrays.
+    // router's. A commodity re-routes only when its route mask meets a
+    // link whose two prefixes currently differ (diff_bits_).
     //
     // Tempting but WRONG sharpening: skipping the Dijkstra when all
     // differing quadrant links increased and lie off the committed route.
     // The old route stays an argmin then, but an increased-weight node can
     // tie another heap key and pop earlier (ties break by tile id), handing
     // a path node a different equal-cost predecessor — the returned route
-    // changes even though its cost does not. Only weight-equality is
-    // tie-safe.
+    // changes even though its cost does not. Only weight-equality (or a
+    // single-path quadrant, whose mask is empty) is tie-safe.
+    //
+    // When the replay ends, diff_bits_ holds exactly the links whose final
+    // load changed, with that load in cand_prefix_: after the last
+    // position each prefix is the link's full in-order sum, and a replay
+    // cut short (no differing link, no incident commodity left) keeps
+    // every remaining route, so every final load equals the committed one.
     //
     // Early exit: each candidate prefix is a lower bound of its link's
     // final load (values >= 0, rounding is monotone). Once one of them is
     // over capacity and their running peak has reached `reject_at`, the
     // candidate is infeasible with max_load >= reject_at — a verdict the
     // caller discards — so the rest of the replay is skipped.
-    const noc::DistanceOracle orc = oracle();
     const auto a = pending_a_;
     const auto b = pending_b_;
     const auto translate = [&](noc::TileId t) { return t == a ? b : (t == b ? a : t); };
@@ -228,18 +276,7 @@ void IncrementalRouter::exact_eval(double reject_at) {
     ++prefix_epoch_;
     prefix_first_ = first;
 
-    const auto touch = [&](noc::LinkId l) {
-        const auto i = static_cast<std::size_t>(l);
-        const bool differs = cand_prefix_[i] != base_prefix_[i];
-        if (differs != (diff_flag_[i] != 0)) {
-            diff_flag_[i] = differs ? 1 : 0;
-            diff_count_ += differs ? 1 : -1;
-        }
-        if (differs && !in_diff_list_[i]) {
-            in_diff_list_[i] = 1;
-            diff_links_.push_back(l);
-        }
-    };
+    const auto touch = [&](std::size_t i) { mark_diff(i, cand_prefix_[i] != base_prefix_[i]); };
 
     bool over_capacity = false;
     double cand_peak = -std::numeric_limits<double>::infinity();
@@ -251,34 +288,18 @@ void IncrementalRouter::exact_eval(double reject_at) {
 
     for (Pos p = first; p < count; ++p) {
         const std::size_t slot = order_[static_cast<std::size_t>(p)];
-        const noc::Commodity& c = commodities_[slot];
         const bool incident = incident_flag_[slot] != 0;
-        const noc::TileId src = incident ? translate(c.src_tile) : c.src_tile;
-        const noc::TileId dst = incident ? translate(c.dst_tile) : c.dst_tile;
-        bool dirty = incident;
-        if (!dirty && diff_count_ != 0) {
-            // Re-route only when a differing link could enter this
-            // commodity's Dijkstra: both endpoints in the quadrant and
-            // pointing toward the destination.
-            for (const noc::LinkId l : diff_links_) {
-                if (!diff_flag_[static_cast<std::size_t>(l)]) continue; // no longer differs
-                const noc::Link& link = topo_->link(l);
-                if (!orc.in_quadrant(link.src, src, dst) ||
-                    !orc.in_quadrant(link.dst, src, dst))
-                    continue;
-                if (orc.distance(link.dst, dst) >= orc.distance(link.src, dst)) continue;
-                dirty = true;
-                break;
-            }
-        }
+        const bool dirty = incident || (diff_count_ != 0 && reads_differing_link(slot));
 
         const noc::Route& committed = routes_[slot];
         const double value = value_at_[static_cast<std::size_t>(p)];
         const noc::Route* chosen = &committed;
         if (dirty) {
+            const noc::Commodity& c = commodities_[slot];
             ++dijkstras_;
             noc::Route route = noc::least_congested_min_path(
-                orc, src, dst,
+                *ctx_, incident ? translate(c.src_tile) : c.src_tile,
+                incident ? translate(c.dst_tile) : c.dst_tile,
                 [&](noc::LinkId l) {
                     const auto i = static_cast<std::size_t>(l);
                     ensure_prefix(i);
@@ -286,16 +307,6 @@ void IncrementalRouter::exact_eval(double reject_at) {
                 },
                 scratch_);
             if (incident || route != committed) {
-                for (const noc::LinkId l : committed) {
-                    PendingLink& pl = pending_link(l);
-                    pl.crossings.erase(
-                        std::lower_bound(pl.crossings.begin(), pl.crossings.end(), p));
-                }
-                for (const noc::LinkId l : route) {
-                    PendingLink& pl = pending_link(l);
-                    pl.crossings.insert(
-                        std::lower_bound(pl.crossings.begin(), pl.crossings.end(), p), p);
-                }
                 pending_routes_.emplace_back(slot, std::move(route));
                 chosen = &pending_routes_.back().second;
             }
@@ -309,20 +320,20 @@ void IncrementalRouter::exact_eval(double reject_at) {
                 ensure_prefix(i);
                 base_prefix_[i] += value;
                 advance_cand(i, value);
-                touch(l);
+                touch(i);
             }
         } else {
             for (const noc::LinkId l : committed) {
                 const auto i = static_cast<std::size_t>(l);
                 ensure_prefix(i);
                 base_prefix_[i] += value;
-                touch(l);
+                touch(i);
             }
             for (const noc::LinkId l : *chosen) {
                 const auto i = static_cast<std::size_t>(l);
                 ensure_prefix(i);
                 advance_cand(i, value);
-                touch(l);
+                touch(i);
             }
         }
 
@@ -345,7 +356,6 @@ void IncrementalRouter::fast_eval() {
     // Pure rip-up-and-reroute: pull the incident commodities off the
     // ledger and re-route them, in value order, against the absolute
     // current loads. O(deg) Dijkstras, no replay of the sequential pass.
-    const noc::DistanceOracle orc = oracle();
     const auto a = pending_a_;
     const auto b = pending_b_;
     const auto translate = [&](noc::TileId t) { return t == a ? b : (t == b ? a : t); };
@@ -355,25 +365,33 @@ void IncrementalRouter::fast_eval() {
             fast_loads_[static_cast<std::size_t>(l)] -= commodities_[slot].value;
     for (const std::size_t slot : incident_slots_) {
         const noc::Commodity& c = commodities_[slot];
-        const Pos p = pos_of_[slot];
         ++dijkstras_;
         noc::Route route = noc::least_congested_min_path(
-            orc, translate(c.src_tile), translate(c.dst_tile),
+            *ctx_, translate(c.src_tile), translate(c.dst_tile),
             [&](noc::LinkId l) { return fast_loads_[static_cast<std::size_t>(l)]; },
             scratch_);
         for (const noc::LinkId l : route)
             fast_loads_[static_cast<std::size_t>(l)] += c.value;
-        for (const noc::LinkId l : routes_[slot]) {
-            PendingLink& pl = pending_link(l);
-            pl.crossings.erase(std::lower_bound(pl.crossings.begin(), pl.crossings.end(), p));
-        }
-        for (const noc::LinkId l : route) {
-            PendingLink& pl = pending_link(l);
-            pl.crossings.insert(
-                std::lower_bound(pl.crossings.begin(), pl.crossings.end(), p), p);
-        }
         pending_routes_.emplace_back(slot, std::move(route));
     }
+    // Loads stay in-order ledger sums (fast_loads_ only steers the rip-up):
+    // move the re-routed crossings in the ledger, re-sum every link they
+    // left or joined, and move them back.
+    for (const auto& [slot, route] : pending_routes_)
+        move_crossings(routes_[slot], route, pos_of_[slot]);
+    const auto resum = [&](const noc::Route& route) {
+        for (const noc::LinkId l : route) {
+            const auto i = static_cast<std::size_t>(l);
+            cand_prefix_[i] = ledger_sum(ledger_[i]);
+            mark_diff(i, cand_prefix_[i] != loads_[i]);
+        }
+    };
+    for (const auto& [slot, route] : pending_routes_) {
+        resum(routes_[slot]);
+        resum(route);
+    }
+    for (const auto& [slot, route] : pending_routes_)
+        move_crossings(route, routes_[slot], pos_of_[slot]);
     score_pending();
     if (!pending_eval_.feasible && options_.confirm_infeasible) {
         // The quick answer says infeasible; confirm with a full sequential
@@ -391,7 +409,7 @@ void IncrementalRouter::fast_eval() {
             const std::size_t slot = order_[p];
             const noc::Commodity& c = candidate[slot];
             noc::Route route = noc::least_congested_min_path(
-                orc, c.src_tile, c.dst_tile,
+                *ctx_, c.src_tile, c.dst_tile,
                 [&](noc::LinkId l) { return pending_all_loads_[static_cast<std::size_t>(l)]; },
                 scratch_);
             ++dijkstras_;
@@ -418,17 +436,15 @@ void IncrementalRouter::score_pending() {
     pending_violations_ = violations_;
     double changed_max = 0.0;
     bool peak_shrank = false;
-    for (const noc::LinkId l : modified_links_) {
-        PendingLink& pl =
-            pending_pool_[static_cast<std::size_t>(link_slot_[static_cast<std::size_t>(l)])];
-        pl.new_load = ledger_sum(pl.crossings);
-        const double old_load = loads_[static_cast<std::size_t>(l)];
-        const double capacity = link_capacity(static_cast<std::size_t>(l));
-        pending_violations_ += (pl.new_load > capacity + kBandwidthEps ? 1u : 0u);
+    for_each_diff_link([&](std::size_t l) {
+        const double new_load = cand_prefix_[l];
+        const double old_load = loads_[l];
+        const double capacity = link_capacity(l);
+        pending_violations_ += (new_load > capacity + kBandwidthEps ? 1u : 0u);
         pending_violations_ -= (old_load > capacity + kBandwidthEps ? 1u : 0u);
-        changed_max = std::max(changed_max, pl.new_load);
-        if (old_load == eval_.max_load && pl.new_load < old_load) peak_shrank = true;
-    }
+        changed_max = std::max(changed_max, new_load);
+        if (old_load == eval_.max_load && new_load < old_load) peak_shrank = true;
+    });
     if (!peak_shrank) {
         // Lazy max: no former peak link decreased, so the committed peak
         // still lower-bounds every unchanged link.
@@ -436,7 +452,8 @@ void IncrementalRouter::score_pending() {
     } else {
         double peak = changed_max;
         for (std::size_t l = 0; l < loads_.size(); ++l)
-            if (link_slot_[l] < 0) peak = std::max(peak, loads_[l]);
+            if ((diff_bits_[l / 64] & (std::uint64_t{1} << (l % 64))) == 0)
+                peak = std::max(peak, loads_[l]);
         pending_eval_.max_load = peak;
     }
     pending_eval_.feasible = pending_violations_ == 0;
@@ -480,16 +497,13 @@ void IncrementalRouter::commit() {
         ledger_ = std::move(pending_all_ledger_);
         loads_ = std::move(pending_all_loads_);
     } else {
-        for (auto& [slot, route] : pending_routes_) routes_[slot] = std::move(route);
-        for (const noc::LinkId l : modified_links_) {
-            PendingLink& pl = pending_pool_[static_cast<std::size_t>(
-                link_slot_[static_cast<std::size_t>(l)])];
-            // swap, not move: the pool entry keeps the old ledger vector's
-            // capacity for the next evaluation.
-            std::swap(ledger_[static_cast<std::size_t>(l)], pl.crossings);
-            loads_[static_cast<std::size_t>(l)] = pl.new_load;
+        for (auto& [slot, route] : pending_routes_) {
+            move_crossings(routes_[slot], route, pos_of_[slot]);
+            routes_[slot] = std::move(route);
         }
+        for_each_diff_link([&](std::size_t l) { loads_[l] = cand_prefix_[l]; });
     }
+    for (const std::size_t slot : incident_slots_) refresh_mask(slot);
     eval_ = pending_eval_;
     violations_ = pending_violations_;
     rollback(); // clears the pending containers
@@ -502,13 +516,7 @@ void IncrementalRouter::rollback() {
     for (const std::size_t slot : incident_slots_) incident_flag_[slot] = 0;
     incident_slots_.clear();
     pending_routes_.clear();
-    for (const noc::LinkId l : modified_links_) link_slot_[static_cast<std::size_t>(l)] = -1;
-    modified_links_.clear();
-    for (const noc::LinkId l : diff_links_) {
-        diff_flag_[static_cast<std::size_t>(l)] = 0;
-        in_diff_list_[static_cast<std::size_t>(l)] = 0;
-    }
-    diff_links_.clear();
+    std::fill(diff_bits_.begin(), diff_bits_.end(), 0);
     diff_count_ = 0;
     pending_all_routes_.clear();
     pending_all_ledger_.clear();

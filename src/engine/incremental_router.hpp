@@ -19,19 +19,24 @@
 //     peak in O(1); only a decrease of a peak link forces an O(|F|) rescan).
 //
 // reroute_swap(a, b) answers the routed score of the current mapping with
-// tiles a and b swapped, as pending state; commit() applies it in
-// O(changed links), rollback() discards it. Two modes:
+// tiles a and b swapped, as pending state (the changed routes and the
+// changed link loads); commit() moves the changed routes' ledger
+// crossings, rollback() discards them. Two modes:
 //
 //   * Exact — replays the sequential congestion-aware routing pass with
 //     dirty propagation: commodities are visited in the original
 //     decreasing-value order starting at the first incident one; a
 //     commodity is re-routed (quadrant Dijkstra, O(deg) of them plus the
-//     congestion ripple) only when it is incident or a ledger-modified link
-//     intersects its quadrant, with Dijkstra weights taken as in-order
-//     ledger prefix sums. Identical weights pick identical routes, so the
-//     result — routes, loads, max_load, feasibility, cost — is
-//     bit-identical to evaluate_mapping() on the swapped mapping, and
-//     stays so across any chain of commits.
+//     congestion ripple) only when it is incident or its Dijkstra could
+//     read a link whose replayed prefix load differs from the committed
+//     one, with Dijkstra weights taken as in-order ledger prefix sums.
+//     Each commodity keeps a bit mask of the links its Dijkstra can relax
+//     (quadrant links moving toward the destination); the mask is empty
+//     when those links form a single path, which every weight picks.
+//     Identical weights pick identical routes, so the result — routes,
+//     loads, max_load, feasibility, cost — is bit-identical to
+//     evaluate_mapping() on the swapped mapping, and stays so across any
+//     chain of commits.
 //
 //     The replay takes an optional rejection bound `reject_at`: the caller
 //     promises to discard any infeasible candidate whose max_load is
@@ -63,7 +68,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "graph/core_graph.hpp"
@@ -111,15 +115,9 @@ struct RerouteEval {
 
 class IncrementalRouter {
 public:
-    /// Binds to `topo`, internally borrowing a flat EvalContext over it so
-    /// the hot distance/quadrant queries are one table load regardless of
-    /// how the router was constructed. The topology must outlive the
-    /// router. Results are identical to the context-threaded constructor.
-    IncrementalRouter(const graph::CoreGraph& graph, const noc::Topology& topo,
-                      noc::Mapping mapping, RerouteOptions options = {});
-    /// Context-threaded binding: Dijkstra distance/quadrant queries and the
-    /// Eq.7 sum read the shared flat tables. The context must outlive the
-    /// router.
+    /// Binds to `mapping` on the context's fabric: Dijkstra distance and
+    /// quadrant queries and the Eq.7 sum read the shared flat tables. The
+    /// context must outlive the router.
     IncrementalRouter(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                       noc::Mapping mapping, RerouteOptions options = {});
 
@@ -150,10 +148,10 @@ public:
     /// other verdict is bit-identical to the unbounded call. Fast mode
     /// ignores the bound.
     RerouteEval reroute_swap(noc::TileId a, noc::TileId b, double reject_at);
-    /// Applies the pending swap to the persistent state, O(changed links).
+    /// Applies the pending swap to the persistent state, O(changed routes).
     /// Throws std::logic_error after an early exit.
     void commit();
-    /// Discards the pending swap, O(changed links).
+    /// Discards the pending swap.
     void rollback();
 
     /// Re-binds to a different complete mapping. A mapping that differs
@@ -177,12 +175,6 @@ public:
 private:
     using Pos = std::int32_t; ///< position in the routing order
 
-    struct PendingLink {
-        std::vector<Pos> crossings; ///< candidate crossing list, ascending
-        double new_load = 0.0;      ///< in-order sum of `crossings` (score_pending)
-    };
-
-    noc::DistanceOracle oracle() const noexcept { return {*topo_, ctx_}; }
     std::int32_t distance(noc::TileId a, noc::TileId b) const {
         return ctx_->distance(a, b);
     }
@@ -193,8 +185,14 @@ private:
     void bind(noc::Mapping mapping);
     void full_route();            ///< routes commodities_ from scratch into state
     void refresh_committed_eval();///< cost/max/violations from current state
+    void refresh_mask(std::size_t slot); ///< route_masks_ row of one commodity
+    bool reads_differing_link(std::size_t slot) const;
+    void mark_diff(std::size_t l, bool differs);
+    template <typename Fn>
+    void for_each_diff_link(Fn&& fn) const;
     double ledger_sum(const std::vector<Pos>& crossings) const;
-    PendingLink& pending_link(noc::LinkId l);
+    /// Moves position p's crossings in the ledger from route `from` to `to`.
+    void move_crossings(const noc::Route& from, const noc::Route& to, Pos p);
     void collect_incident(noc::TileId a, noc::TileId b);
     void ensure_prefix(std::size_t l); ///< lazy per-link replay prefix init
     void exact_eval(double reject_at);
@@ -204,8 +202,7 @@ private:
 
     const graph::CoreGraph* graph_;
     const noc::Topology* topo_;
-    const noc::EvalContext* ctx_ = nullptr; ///< always set (caller's or owned)
-    std::shared_ptr<const noc::EvalContext> owned_ctx_; ///< plain-Topology binding
+    const noc::EvalContext* ctx_;
     RerouteOptions options_;
 
     // ---- committed state --------------------------------------------------
@@ -219,22 +216,22 @@ private:
     noc::LinkLoads loads_;                    ///< per link: in-order ledger prefix sum
     RerouteEval eval_;
     std::size_t violations_ = 0; ///< links with load > capacity + eps
+    std::size_t words_ = 0;      ///< 64-bit words per link bit set
+    /// Per slot, words_ words: the links whose weight can change the
+    /// commodity's route (empty for a single-path quadrant).
+    std::vector<std::uint64_t> route_masks_;
 
     // ---- pending state ----------------------------------------------------
-    // Modified links live in a pooled slot array (link_slot_ indexes into
-    // pending_pool_): O(1) lookup on the Dijkstra hot path and no
-    // steady-state allocation — the pool entries keep their capacity across
-    // reroute_swap calls.
+    // A candidate is its changed routes plus, per link, its final load:
+    // cand_prefix_[l] for every link in diff_bits_, loads_[l] elsewhere.
+    // commit() applies the routes to the ledger; rollback() drops them.
     bool pending_ = false;
     bool pending_full_ = false; ///< Fast-mode confirm replaced the whole state
     bool pending_early_exit_ = false; ///< replay stopped by its bound: rollback only
     noc::TileId pending_a_ = noc::kInvalidTile;
     noc::TileId pending_b_ = noc::kInvalidTile;
     std::vector<std::size_t> incident_slots_;          ///< ascending position
-    std::vector<std::pair<std::size_t, noc::Route>> pending_routes_;
-    std::vector<std::int32_t> link_slot_; ///< per link: pool index or -1
-    std::vector<PendingLink> pending_pool_;
-    std::vector<noc::LinkId> modified_links_; ///< links with a pool slot, insertion order
+    std::vector<std::pair<std::size_t, noc::Route>> pending_routes_; ///< ascending position
     RerouteEval pending_eval_;
     std::size_t pending_violations_ = 0;
     // Fast-mode confirm results (pending_full_):
@@ -245,6 +242,8 @@ private:
     // ---- scratch ----------------------------------------------------------
     noc::MinPathScratch scratch_;
     std::vector<char> incident_flag_;   ///< per slot
+    std::vector<noc::TileId> walk_;     ///< refresh_mask: quadrant tiles reached
+    std::vector<char> walked_;          ///< refresh_mask: per tile, in walk_
     noc::LinkLoads fast_loads_;         ///< Fast mode: absolute loads during rip-up
     // Exact-mode replay: prefix loads of the committed pass and of the
     // candidate pass, plus the set of links where they currently differ.
@@ -257,10 +256,8 @@ private:
     std::vector<std::uint64_t> prefix_stamp_; ///< per link: epoch initialized for
     std::uint64_t prefix_epoch_ = 0;
     Pos prefix_first_ = 0; ///< replay start of the open exact_eval
-    std::vector<char> diff_flag_;       ///< per link: prefixes differ right now
-    std::vector<char> in_diff_list_;    ///< per link: already in diff_links_
-    std::vector<noc::LinkId> diff_links_;
-    std::size_t diff_count_ = 0;
+    std::vector<std::uint64_t> diff_bits_; ///< links whose candidate load differs
+    std::size_t diff_count_ = 0;           ///< set bits in diff_bits_
 
     // ---- statistics -------------------------------------------------------
     std::size_t dijkstras_ = 0;

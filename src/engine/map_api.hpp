@@ -3,8 +3,8 @@
 // every registered mapper runs on, and engine::MapError — the structured
 // failure that replaces std::invalid_argument throws on that path.
 //
-// A request names the instance (graph + topology, or graph + shared
-// EvalContext), carries an engine::Params set validated against the
+// A request names the instance (graph + the fabric's shared EvalContext),
+// carries an engine::Params set validated against the
 // mapper's published ParamSpec list, a seed for the RNG-using algorithms,
 // and an optional cooperative cancellation hook. The outcome is either a
 // MappingResult or a MapError{code, message, param}; front ends (CLI,
@@ -21,7 +21,6 @@
 #include "engine/params.hpp"
 #include "graph/core_graph.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::engine {
 
@@ -47,15 +46,14 @@ struct MapError {
     /// Offending parameter name, when the failure is about one ("" else).
     std::string param;
 
-    /// "code: message (param 'name')" — what the compat shims throw.
+    /// "code: message (param 'name')" — what Mapper::map throws.
     std::string to_string() const;
 };
 
 struct MapRequest {
     const graph::CoreGraph* graph = nullptr;
-    /// Exactly one of `topology`/`context` must be set; `context` wins when
-    /// both are (its precomputed tables make it the faster entry).
-    const noc::Topology* topology = nullptr;
+    /// The fabric to map onto. Callers holding a bare noc::Topology wrap it
+    /// once with noc::EvalContext::borrow.
     const noc::EvalContext* context = nullptr;
     Params params;
     /// Seed for the RNG-using mappers; 0 = unset (algorithm default). An
@@ -65,9 +63,6 @@ struct MapRequest {
     /// boundaries (sweep rows, SA temperature steps) and return a
     /// Cancelled outcome / their best-so-far when it reads true.
     std::function<bool()> cancelled;
-
-    /// The topology the request maps onto (context's when set).
-    const noc::Topology& topo() const;
 };
 
 class MapOutcome {

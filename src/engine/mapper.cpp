@@ -14,13 +14,6 @@ const std::vector<ParamSpec>& Mapper::param_specs() const {
     return kNone;
 }
 
-MappingResult Mapper::map(const graph::CoreGraph& graph, const noc::Topology& topo) const {
-    MapRequest request;
-    request.graph = &graph;
-    request.topology = &topo;
-    return run(request).take_or_throw();
-}
-
 MappingResult Mapper::map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) const {
     MapRequest request;
     request.graph = &graph;
@@ -97,11 +90,6 @@ Registry& registry() {
         return r;
     }();
     return instance;
-}
-
-MappingResult map_by_name(std::string_view name, const graph::CoreGraph& graph,
-                          const noc::Topology& topo) {
-    return registry().create(name)->map(graph, topo);
 }
 
 MappingResult map_by_name(std::string_view name, const graph::CoreGraph& graph,

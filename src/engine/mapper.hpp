@@ -10,9 +10,8 @@
 // A mapper's primary entry point is run(MapRequest): it validates the
 // request's Params against the ParamSpec list the mapper publishes (unknown
 // key / out-of-range -> typed MapError, never a silent default) and returns
-// a MapOutcome. The map() overloads of the pre-redesign API are thin
-// non-virtual shims over run() — default parameters in, throw on error —
-// kept so every existing call site still compiles and behaves identically.
+// a MapOutcome. map() is a thin non-virtual convenience over run() —
+// default parameters in, throw on error.
 
 #include <functional>
 #include <memory>
@@ -25,7 +24,6 @@
 #include "engine/params.hpp"
 #include "graph/core_graph.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::engine {
 
@@ -57,10 +55,8 @@ public:
     /// MapError outcomes rather than throwing.
     virtual MapOutcome run(const MapRequest& request) const = 0;
 
-    /// Compat shims: default parameters, throw std::invalid_argument with
-    /// the error's to_string() on a failed outcome (what the pre-redesign
-    /// virtuals threw).
-    MappingResult map(const graph::CoreGraph& graph, const noc::Topology& topo) const;
+    /// Default parameters; throws std::invalid_argument with the error's
+    /// to_string() on a failed outcome.
     MappingResult map(const graph::CoreGraph& graph, const noc::EvalContext& ctx) const;
 };
 
@@ -109,8 +105,6 @@ private:
 Registry& registry();
 
 /// Convenience: construct and run a registered mapper in one call.
-MappingResult map_by_name(std::string_view name, const graph::CoreGraph& graph,
-                          const noc::Topology& topo);
 MappingResult map_by_name(std::string_view name, const graph::CoreGraph& graph,
                           const noc::EvalContext& ctx);
 /// The typed-outcome variant: registry().run() on the process registry.

@@ -22,9 +22,9 @@
 //     over random tile swaps used by the SA baseline, with incremental
 //     Eq.7 deltas.
 //
-// Policies plug in the evaluation: full shortestpath() routing, incremental
-// Eq.7 deltas with routing only for acceptable candidates, or MCF solves
-// (see nmap/single_path.cpp and nmap/split.cpp).
+// Policies plug in the evaluation: Eq.7 deltas with a ledger replay only
+// for acceptable candidates, or MCF solves (see nmap/single_path.cpp and
+// nmap/split.cpp).
 
 #include <atomic>
 #include <cstdint>
@@ -253,12 +253,8 @@ private:
 /// Runs the Metropolis walk minimizing the Eq.7 cost with incremental
 /// deltas (the SA baseline's loop). Deterministic for a fixed options.seed.
 /// A free function: it shares the engine's IncrementalEvaluator but none of
-/// the sweep driver's options.
-AnnealOutcome anneal(const graph::CoreGraph& graph, const noc::Topology& topo,
-                     const noc::Mapping& initial, const AnnealOptions& options);
-
-/// Context-threaded walk: the evaluator (and the bandwidth-aware router,
-/// when enabled) read the shared flat tables. Bit-identical outcome.
+/// the sweep driver's options. The evaluator (and the bandwidth-aware
+/// router, when enabled) read the context's flat tables.
 AnnealOutcome anneal(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                      const noc::Mapping& initial, const AnnealOptions& options);
 

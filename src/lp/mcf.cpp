@@ -168,13 +168,21 @@ McfResult solve_exact(const noc::Topology& topo,
                          slack_var, z_var);
 }
 
-/// Per-commodity allowed-link lists; `InQuadrant` is either the topology's
-/// or the context's membership test (identical truth tables).
-template <typename InQuadrant>
-std::vector<noc::LinkId> allowed_links_impl(const noc::Topology& topo,
-                                            const noc::Commodity& c,
-                                            bool quadrant_restricted,
-                                            InQuadrant&& in_quadrant) {
+std::vector<std::vector<noc::LinkId>> allowed_per_commodity(
+    const noc::EvalContext& ctx, const std::vector<noc::Commodity>& commodities,
+    bool quadrant_restricted) {
+    std::vector<std::vector<noc::LinkId>> allowed;
+    allowed.reserve(commodities.size());
+    for (const noc::Commodity& c : commodities)
+        allowed.push_back(allowed_links(ctx, c, quadrant_restricted));
+    return allowed;
+}
+
+} // namespace
+
+std::vector<noc::LinkId> allowed_links(const noc::EvalContext& ctx, const noc::Commodity& c,
+                                       bool quadrant_restricted) {
+    const noc::Topology& topo = ctx.topology();
     std::vector<noc::LinkId> links;
     if (!quadrant_restricted) {
         links.resize(topo.link_count());
@@ -184,38 +192,11 @@ std::vector<noc::LinkId> allowed_links_impl(const noc::Topology& topo,
     }
     for (std::size_t l = 0; l < topo.link_count(); ++l) {
         const noc::Link& link = topo.link(static_cast<noc::LinkId>(l));
-        if (in_quadrant(link.src, c.src_tile, c.dst_tile) &&
-            in_quadrant(link.dst, c.src_tile, c.dst_tile))
+        if (ctx.in_quadrant(link.src, c.src_tile, c.dst_tile) &&
+            ctx.in_quadrant(link.dst, c.src_tile, c.dst_tile))
             links.push_back(static_cast<noc::LinkId>(l));
     }
     return links;
-}
-
-template <typename AllowedOf>
-std::vector<std::vector<noc::LinkId>> allowed_per_commodity(
-    const std::vector<noc::Commodity>& commodities, AllowedOf&& allowed_of) {
-    std::vector<std::vector<noc::LinkId>> allowed;
-    allowed.reserve(commodities.size());
-    for (const noc::Commodity& c : commodities) allowed.push_back(allowed_of(c));
-    return allowed;
-}
-
-} // namespace
-
-std::vector<noc::LinkId> allowed_links(const noc::Topology& topo, const noc::Commodity& c,
-                                       bool quadrant_restricted) {
-    return allowed_links_impl(topo, c, quadrant_restricted,
-                              [&topo](noc::TileId t, noc::TileId a, noc::TileId b) {
-                                  return topo.in_quadrant(t, a, b);
-                              });
-}
-
-std::vector<noc::LinkId> allowed_links(const noc::EvalContext& ctx, const noc::Commodity& c,
-                                       bool quadrant_restricted) {
-    return allowed_links_impl(ctx.topology(), c, quadrant_restricted,
-                              [&ctx](noc::TileId t, noc::TileId a, noc::TileId b) {
-                                  return ctx.in_quadrant(t, a, b);
-                              });
 }
 
 double max_conservation_violation(const noc::Topology& topo,
@@ -310,32 +291,18 @@ McfResult empty_instance_result(const noc::Topology& topo) {
 
 } // namespace
 
-McfResult solve_mcf(const noc::Topology& topo, const std::vector<noc::Commodity>& commodities,
-                    const McfOptions& options) {
-    if (commodities.empty()) return empty_instance_result(topo);
-    if (options.use_exact_lp)
-        return solve_exact(topo, commodities, options,
-                           allowed_per_commodity(commodities, [&](const noc::Commodity& c) {
-                               return allowed_links(topo, c, options.quadrant_restricted);
-                           }));
-    return solve_mcf_approx(topo, commodities, options);
-}
-
 McfResult solve_mcf(const noc::EvalContext& ctx, const std::vector<noc::Commodity>& commodities,
                     const McfOptions& options) {
     const noc::Topology& topo = ctx.topology();
     if (commodities.empty()) return empty_instance_result(topo);
-    const auto ctx_allowed = [&](const noc::Commodity& c) {
-        return allowed_links(ctx, c, options.quadrant_restricted);
-    };
     if (options.use_exact_lp)
         return solve_exact(topo, commodities, options,
-                           allowed_per_commodity(commodities, ctx_allowed));
+                           allowed_per_commodity(ctx, commodities, options.quadrant_restricted));
     if (options.quadrant_restricted) {
-        const auto allowed = allowed_per_commodity(commodities, ctx_allowed);
+        const auto allowed = allowed_per_commodity(ctx, commodities, true);
         return solve_mcf_approx(topo, commodities, options, &allowed, nullptr);
     }
-    return solve_mcf_approx(topo, commodities, options);
+    return solve_mcf_approx(topo, commodities, options, nullptr, nullptr);
 }
 
 // ----------------------------------------------------------------- McfSolver
@@ -466,12 +433,9 @@ McfResult McfSolver::solve(const std::vector<noc::Commodity>& commodities) {
     const noc::Topology& topo = ctx_.topology();
     if (commodities.empty()) return empty_instance_result(topo);
     if (!options_.use_exact_lp) {
-        const auto ctx_allowed = [&](const noc::Commodity& c) {
-            return allowed_links(ctx_, c, options_.quadrant_restricted);
-        };
         ApproxWarmState* warm = options_.warm_start ? &approx_warm_ : nullptr;
         if (options_.quadrant_restricted) {
-            const auto allowed = allowed_per_commodity(commodities, ctx_allowed);
+            const auto allowed = allowed_per_commodity(ctx_, commodities, true);
             return solve_mcf_approx(topo, commodities, options_, &allowed, warm);
         }
         return solve_mcf_approx(topo, commodities, options_, nullptr, warm);

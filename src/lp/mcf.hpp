@@ -62,21 +62,13 @@ struct McfResult {
 };
 
 /// Solves the selected MCF program for a fixed mapping (commodities already
-/// carry tile endpoints).
-McfResult solve_mcf(const noc::Topology& topo, const std::vector<noc::Commodity>& commodities,
-                    const McfOptions& options = {});
-
-/// Context-threaded variant: quadrant membership comes from the context's
-/// distance table instead of per-call topology arithmetic. Produces the
-/// identical program (EvalContext::in_quadrant ≡ Topology::in_quadrant) and
-/// therefore bit-identical results.
+/// carry tile endpoints). Quadrant membership comes from the context's
+/// distance table.
 McfResult solve_mcf(const noc::EvalContext& ctx, const std::vector<noc::Commodity>& commodities,
                     const McfOptions& options = {});
 
 /// Links commodity k may use: all links, or (quadrant mode) links whose
 /// both endpoints lie in the quadrant of (src_tile, dst_tile).
-std::vector<noc::LinkId> allowed_links(const noc::Topology& topo, const noc::Commodity& c,
-                                       bool quadrant_restricted);
 std::vector<noc::LinkId> allowed_links(const noc::EvalContext& ctx, const noc::Commodity& c,
                                        bool quadrant_restricted);
 

@@ -83,12 +83,6 @@ double monitored_objective(const noc::Topology& topo, const McfOptions& options,
 
 McfResult solve_mcf_approx(const noc::Topology& topo,
                            const std::vector<noc::Commodity>& commodities,
-                           const McfOptions& options) {
-    return solve_mcf_approx(topo, commodities, options, nullptr, nullptr);
-}
-
-McfResult solve_mcf_approx(const noc::Topology& topo,
-                           const std::vector<noc::Commodity>& commodities,
                            const McfOptions& options,
                            const std::vector<std::vector<noc::LinkId>>* allowed,
                            ApproxWarmState* warm) {
@@ -110,12 +104,12 @@ McfResult solve_mcf_approx(const noc::Topology& topo,
             shared = build_adjacency(topo, all_links(topo));
         }
     } else {
+        if (allowed == nullptr || allowed->size() != K)
+            throw std::invalid_argument(
+                "solve_mcf_approx: quadrant mode needs one allowed-link list per commodity");
         per_commodity.reserve(K);
         for (std::size_t k = 0; k < K; ++k)
-            per_commodity.push_back(build_adjacency(
-                topo, allowed != nullptr
-                          ? (*allowed)[k]
-                          : allowed_links(topo, commodities[k], true)));
+            per_commodity.push_back(build_adjacency(topo, (*allowed)[k]));
     }
     const Adjacency& shared_adj = (all_paths && warm != nullptr) ? warm->all_paths_out : shared;
     const auto adj_of = [&](std::size_t k) -> const Adjacency& {

@@ -20,21 +20,17 @@
 
 namespace nocmap::lp {
 
-/// Approximate engine behind solve_mcf(use_exact_lp = false).
-McfResult solve_mcf_approx(const noc::Topology& topo,
-                           const std::vector<noc::Commodity>& commodities,
-                           const McfOptions& options);
-
-/// Full-control variant. `allowed` (consulted in quadrant mode only) is a
-/// precomputed per-commodity allowed-link list — pass nullptr to compute it
-/// from the topology. `warm` carries state across consecutive solves: with
-/// options.warm_start set, commodities whose endpoints did not move since
-/// the previous solve start from their converged flows (with a matching
-/// later step-size schedule) and the iteration loop exits early once the
-/// objective stops improving; the converged objective matches a cold run
-/// within the engine's own convergence tolerance. Without warm_start the
-/// cold iteration sequence is untouched (bit-identical results); the warm
-/// state still caches the shared all-paths routing graph.
+/// Approximate engine behind solve_mcf(use_exact_lp = false). `allowed` is
+/// the per-commodity allowed-link list (lp::allowed_links) of quadrant
+/// mode, where it is required; all-paths mode ignores it. `warm` carries
+/// state across consecutive solves: with options.warm_start set,
+/// commodities whose endpoints did not move since the previous solve start
+/// from their converged flows (with a matching later step-size schedule)
+/// and the iteration loop exits early once the objective stops improving;
+/// the converged objective matches a cold run within the engine's own
+/// convergence tolerance. Without warm_start the cold iteration sequence
+/// is untouched (bit-identical results); the warm state still caches the
+/// shared all-paths routing graph.
 McfResult solve_mcf_approx(const noc::Topology& topo,
                            const std::vector<noc::Commodity>& commodities,
                            const McfOptions& options,

@@ -4,7 +4,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 
@@ -17,56 +16,47 @@
 
 namespace nocmap::nmap {
 
-namespace {
-
 /// Sweep policy for the single-minimum-path objective.
 ///
-/// Naive mode routes every candidate (the paper's literal loop). All other
-/// modes first prune with Eq.7 deltas from the evaluator (synced to the
-/// sweep's `placed` mapping via on_rebase): a candidate whose delta cannot
-/// beat the incumbent is rejected without routing. Survivors get their
-/// feasibility re-check from
+/// Candidates are first pruned with Eq.7 deltas from the evaluator (synced
+/// to the sweep's `placed` mapping via on_rebase): a candidate whose delta
+/// cannot beat the incumbent is rejected without routing. Survivors are
+/// scored by engine::IncrementalRouter's Exact replay, bit-identical to a
+/// full shortestpath() re-route at O(deg) Dijkstras.
 ///
-///   * Incremental — a full shortestpath() re-route (the pre-ledger path),
-///   * LedgerExact — engine::IncrementalRouter's exact replay, bit-identical
-///     to the full re-route at O(deg) Dijkstras,
-///   * LedgerFast  — the router's rip-up-and-reroute heuristic.
+/// The router gets the incumbent's rejection bound (Score::reject_bound).
+/// A candidate whose replayed prefixes already prove it infeasible with a
+/// peak at or above that bound stops early and comes back as
+/// {inf, inf, false}, which never wins — exactly as its full verdict would
+/// not have. Parallel sweeps score against the row-start incumbent; the
+/// running one only improves on it, so that bound is looser and still safe.
 ///
-/// The ledger modes hand the router the incumbent's rejection bound
-/// (Score::reject_bound). In Exact mode a candidate whose replayed prefixes
-/// already prove it infeasible with a peak at or above that bound stops
-/// early and comes back as {inf, inf, false}, which never wins — exactly as
-/// its full verdict would not have. Parallel sweeps score against the
-/// row-start incumbent; the running one only improves on it, so that bound
-/// is looser and still safe.
-///
-/// The routers hold mutable pending state, so with threads != 1 every
-/// scoring thread (the sweep's workers and the main thread) lazily clones
-/// the master router, which is only mutated at the serial points
-/// (evaluate/on_rebase); clones re-copy when their version falls behind.
+/// The router holds mutable pending state, so with threads != 1 every
+/// scoring thread (the sweep's workers and the main thread) keeps its own
+/// replica of the master router, which is only mutated at the serial
+/// points (evaluate/on_rebase); replicas catch up when their version
+/// falls behind.
 class SinglePathPolicy final : public engine::SweepPolicy {
 public:
-    SinglePathPolicy(const graph::CoreGraph& graph, const noc::Topology& topo,
-                     const SinglePathOptions& options, const noc::EvalContext* ctx = nullptr)
-        : graph_(graph), topo_(topo), ctx_(ctx), eval_(options.eval),
-          clone_per_thread_(options.threads != 1), reroute_(options.reroute) {
-        reroute_.mode = eval_ == SweepEval::LedgerFast ? engine::RerouteMode::Fast
-                                                       : engine::RerouteMode::Exact;
+    SinglePathPolicy(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                     const SinglePathOptions& options)
+        : graph_(graph), ctx_(ctx), clone_per_thread_(options.threads != 1) {
+        reroute_.resync_cadence = options.resync_cadence;
+        reroute_.audit = options.audit;
     }
 
     engine::Score evaluate(const noc::Mapping& mapping) override {
         count_evaluation();
-        if (!ledger_mode()) return route(mapping);
         sync_master(mapping);
         const engine::RerouteEval& eval = master_->committed_eval();
         return engine::Score{eval.cost, eval.max_load, eval.feasible};
     }
 
-    engine::Score evaluate_swap(const noc::Mapping& base, const engine::Score& base_score,
+    engine::Score evaluate_swap(const noc::Mapping&, const engine::Score& base_score,
                                 const engine::Score& incumbent, noc::TileId a,
                                 noc::TileId b) override {
         count_evaluation();
-        if (eval_ != SweepEval::Naive && base_score.feasible && incumbent.feasible) {
+        if (base_score.feasible && incumbent.feasible) {
             // Eq.7 cost depends only on the mapping (every minimal route
             // realizes it), so base cost + delta predicts the candidate's
             // routed cost exactly up to rounding. Candidates that cannot
@@ -78,28 +68,18 @@ public:
             if (base_score.primary + delta >= incumbent.primary + guard)
                 return engine::Score::rejected();
         }
-        if (ledger_mode()) {
-            engine::IncrementalRouter& router = thread_router();
-            const engine::RerouteEval eval = router.reroute_swap(a, b, incumbent.reject_bound());
-            router.rollback();
-            return engine::Score{eval.cost, eval.max_load, eval.feasible};
-        }
-        noc::Mapping candidate = base;
-        candidate.swap_tiles(a, b);
-        return route(candidate);
+        engine::IncrementalRouter& router = thread_router();
+        const engine::RerouteEval eval = router.reroute_swap(a, b, incumbent.reject_bound());
+        router.rollback();
+        return engine::Score{eval.cost, eval.max_load, eval.feasible};
     }
 
     void on_rebase(const noc::Mapping& placed, const engine::Score&) override {
-        if (eval_ == SweepEval::Naive) return;
-        if (!evaluator_) {
-            if (ctx_)
-                evaluator_.emplace(graph_, *ctx_, placed);
-            else
-                evaluator_.emplace(graph_, topo_, placed);
-        } else {
+        if (!evaluator_)
+            evaluator_.emplace(graph_, ctx_, placed);
+        else
             evaluator_->rebase(placed);
-        }
-        if (ledger_mode()) sync_master(placed);
+        sync_master(placed);
     }
 
     bool parallel_safe() const override { return true; }
@@ -109,8 +89,8 @@ public:
     }
 
     /// Early exits summed over every scoring router. No exit is counted
-    /// twice: a parallel sweep's master only rebases (unbounded), so a clone
-    /// copied from it starts at zero.
+    /// twice: a parallel sweep's master only rebases (unbounded), so a
+    /// replica copied from it starts at zero.
     std::size_t router_early_exits() const {
         std::size_t total = master_ ? master_->early_exit_count() : 0;
         for (const auto& [id, clone] : clones_)
@@ -118,59 +98,44 @@ public:
         return total;
     }
 
-private:
-    bool ledger_mode() const {
-        return eval_ == SweepEval::LedgerExact || eval_ == SweepEval::LedgerFast;
+    /// Forgets the scoring threads' replicas. They are keyed by thread id,
+    /// so a policy that outlives its sweep's threads must drop them.
+    void drop_replicas() {
+        const std::lock_guard<std::mutex> lock(clones_mutex_);
+        clones_.clear();
     }
 
+private:
     void sync_master(const noc::Mapping& mapping) {
-        if (!master_) {
-            if (ctx_)
-                master_ = std::make_unique<engine::IncrementalRouter>(graph_, *ctx_, mapping,
-                                                                      reroute_);
-            else
-                master_ = std::make_unique<engine::IncrementalRouter>(graph_, topo_, mapping,
-                                                                      reroute_);
-        } else {
+        if (!master_)
+            master_ = std::make_unique<engine::IncrementalRouter>(graph_, ctx_, mapping, reroute_);
+        else
             master_->rebase(mapping);
-        }
         ++version_;
     }
 
     engine::IncrementalRouter& thread_router() {
         // Serial sweeps score on the master directly; parallel sweeps keep
-        // the master pristine during a row (it is the clone source) and
-        // give every scoring thread its own replica.
+        // the master pristine during a row (it is the copy source) and give
+        // every scoring thread its own replica.
         if (!clone_per_thread_) return *master_;
         const std::lock_guard<std::mutex> lock(clones_mutex_);
         Clone& clone = clones_[std::this_thread::get_id()];
-        if (clone.version != version_ || !clone.router) {
-            if (clone.router && eval_ == SweepEval::LedgerExact) {
-                // Exact state is path-independent (always the full
-                // re-route of the bound mapping), so a stale clone can
-                // catch up through rebase — the one-swap O(deg) shortcut
-                // in the common one-row-behind case — instead of a deep
-                // copy. Fast state is path-dependent; replicas must copy
-                // the master to score exactly what the serial sweep would.
-                clone.router->rebase(master_->mapping());
-            } else {
-                clone.router = std::make_unique<engine::IncrementalRouter>(*master_);
-            }
-            clone.version = version_;
+        if (!clone.router) {
+            clone.router = std::make_unique<engine::IncrementalRouter>(*master_);
+        } else if (clone.version != version_) {
+            // Exact state is path-independent (always the full re-route of
+            // the bound mapping), so a stale replica catches up through
+            // rebase — the one-swap O(deg) shortcut in the common
+            // one-row-behind case — instead of a deep copy.
+            clone.router->rebase(master_->mapping());
         }
+        clone.version = version_;
         return *clone.router;
     }
 
-    engine::Score route(const noc::Mapping& mapping) const {
-        const SinglePathRouting routed = ctx_ ? evaluate_mapping(graph_, *ctx_, mapping)
-                                              : evaluate_mapping(graph_, topo_, mapping);
-        return engine::Score{routed.cost, routed.max_load, routed.feasible};
-    }
-
     const graph::CoreGraph& graph_;
-    const noc::Topology& topo_;
-    const noc::EvalContext* ctx_;
-    const SweepEval eval_;
+    const noc::EvalContext& ctx_;
     const bool clone_per_thread_;
     engine::RerouteOptions reroute_;
     std::optional<engine::IncrementalEvaluator> evaluator_;
@@ -185,54 +150,46 @@ private:
     std::unordered_map<std::thread::id, Clone> clones_;
 };
 
-MappingResult run_single_path(const graph::CoreGraph& graph, const noc::Topology& topo,
-                              const noc::EvalContext* ctx, const SinglePathOptions& options) {
-    SinglePathPolicy policy(graph, topo, options, ctx);
+engine::MappingResult map_with_single_path(const graph::CoreGraph& graph,
+                                           const noc::EvalContext& ctx,
+                                           const SinglePathOptions& options) {
+    SinglePathPolicy policy(graph, ctx, options);
     engine::SweepOptions sweep;
     sweep.max_sweeps = options.max_sweeps;
     sweep.threads = options.threads;
     sweep.cancel = options.cancel;
     engine::SwapSweepDriver driver(sweep);
 
-    const engine::SweepOutcome outcome = driver.sweep(initial_mapping(graph, topo), policy);
+    const engine::SweepOutcome outcome =
+        driver.sweep(initial_mapping(graph, ctx.topology()), policy);
     util::log_debug("nmap") << "sweeps " << outcome.sweeps << " best cost "
                             << outcome.best_score.primary << " router dijkstras "
                             << policy.router_dijkstras() << " early exits "
                             << policy.router_early_exits();
     // One final re-route of the winner (its loads are not carried through
     // the generic Score); deterministic, so identical to the sweep's own
-    // evaluation of that mapping in the sequential-routing modes.
-    if (ctx) return scored_result(graph, *ctx, outcome.best, policy.evaluations());
-    return scored_result(graph, topo, outcome.best, policy.evaluations());
+    // evaluation of that mapping.
+    return scored_result(graph, ctx, outcome.best, policy.evaluations());
 }
 
-} // namespace
+SinglePathRowScorer::SinglePathRowScorer(const graph::CoreGraph& graph,
+                                         const noc::EvalContext& ctx,
+                                         const SinglePathOptions& options)
+    : policy_(std::make_unique<SinglePathPolicy>(graph, ctx, options)), driver_([&] {
+          engine::SweepOptions sweep;
+          sweep.threads = options.threads;
+          sweep.cancel = options.cancel;
+          return sweep;
+      }()) {}
 
-MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                   const SinglePathOptions& options) {
-    return run_single_path(graph, topo, nullptr, options);
-}
+SinglePathRowScorer::~SinglePathRowScorer() = default;
 
-MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                                   const SinglePathOptions& options) {
-    return run_single_path(graph, ctx.topology(), &ctx, options);
-}
-
-engine::RowSliceOutcome score_single_path_rows(const graph::CoreGraph& graph,
-                                               const noc::EvalContext& ctx,
-                                               const noc::Mapping& placed,
-                                               const SinglePathOptions& options,
-                                               const engine::RowWindow& window) {
-    if (options.eval == SweepEval::LedgerFast)
-        throw std::invalid_argument(
-            "score_single_path_rows: eval=ledger-fast is path-dependent and cannot be "
-            "sharded deterministically (use ledger-exact, incremental or naive)");
-    SinglePathPolicy policy(graph, ctx.topology(), options, &ctx);
-    engine::SweepOptions sweep;
-    sweep.threads = options.threads;
-    sweep.cancel = options.cancel;
-    const engine::SwapSweepDriver driver(sweep);
-    return driver.score_rows(placed, policy, window);
+engine::RowSliceOutcome SinglePathRowScorer::score(const noc::Mapping& placed,
+                                                   const engine::RowWindow& window) {
+    engine::RowSliceOutcome outcome = driver_.score_rows(placed, *policy_, window);
+    // score_rows runs its scoring threads for this call only.
+    policy_->drop_replicas();
+    return outcome;
 }
 
 } // namespace nocmap::nmap

@@ -5,50 +5,33 @@
 // loop runs on engine::SwapSweepDriver.
 
 #include <functional>
+#include <memory>
 
 #include "engine/incremental_router.hpp"
+#include "engine/mapping_result.hpp"
 #include "engine/sweep.hpp"
 #include "graph/core_graph.hpp"
-#include "nmap/result.hpp"
 #include "noc/eval_context.hpp"
-#include "noc/topology.hpp"
 
 namespace nocmap::nmap {
-
-/// How the swap sweep scores candidates.
-enum class SweepEval {
-    /// Full shortestpath() re-route of every candidate (the paper's literal
-    /// pseudocode; kept for benchmarking and as the reference oracle).
-    Naive,
-    /// engine::IncrementalEvaluator Eq.7 deltas; candidates are re-routed
-    /// from scratch (feasibility re-check + exact cost) only when the delta
-    /// says they could beat the incumbent. Identical results; kept as the
-    /// pre-ledger baseline for benchmarking.
-    Incremental,
-    /// Eq.7 delta pruning plus engine::IncrementalRouter in Exact mode:
-    /// surviving candidates are scored by the persistent link-load ledger
-    /// in O(deg) Dijkstras instead of a full re-route. Bit-identical
-    /// mappings, costs and loads to the two modes above. The default.
-    LedgerExact,
-    /// Delta pruning plus the router's Fast rip-up-and-reroute mode: the
-    /// cheapest feasibility re-check, but a different (valid) heuristic —
-    /// results may differ from the sequential-routing modes.
-    LedgerFast,
-};
 
 struct SinglePathOptions {
     /// Number of full O(|U|^2) pairwise-swap sweeps. The paper's pseudocode
     /// performs one; additional sweeps keep improving until a fixpoint (we
     /// stop early when a sweep finds nothing).
     std::size_t max_sweeps = 1;
-    SweepEval eval = SweepEval::LedgerExact;
     /// Worker threads scoring the candidates of one sweep row (1 = serial,
     /// 0 = all hardware threads). The reduction is lowest-index-first, so
-    /// any thread count returns the same mapping as the serial sweep. The
-    /// ledger modes give every scoring thread its own router clone.
+    /// any thread count returns the same mapping as the serial sweep. Every
+    /// scoring thread gets its own router replica.
     std::size_t threads = 1;
-    /// Resync cadence / audit flag of the ledger modes (ignored otherwise).
-    engine::RerouteOptions reroute{};
+    /// The incremental router re-routes everything from scratch every this
+    /// many commits (0 = never): a safety net, see
+    /// engine::RerouteOptions::resync_cadence.
+    std::size_t resync_cadence = engine::RerouteOptions{}.resync_cadence;
+    /// At every resync, assert the router's state matches the from-scratch
+    /// re-route bit for bit (throws std::logic_error).
+    bool audit = false;
     /// Cooperative cancellation, polled at sweep-row boundaries (see
     /// engine::SweepOptions::cancel); the best mapping so far is returned.
     std::function<bool()> cancel;
@@ -56,29 +39,44 @@ struct SinglePathOptions {
 
 /// Runs NMAP with single minimum-path routing. The returned mapping is the
 /// best one encountered; `feasible`/`comm_cost` reflect its shortestpath()
-/// evaluation under the topology's link capacities.
-MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                   const SinglePathOptions& options = {});
+/// evaluation under the fabric's link capacities.
+///
+/// Every candidate swap is scored like the paper's pseudocode — a full
+/// shortestpath() re-route checked against Inequality 3 and costed by
+/// Eq. 7 — without paying for one: a candidate whose Eq. 7 delta cannot
+/// beat the incumbent is rejected unrouted, and the survivors are scored
+/// by engine::IncrementalRouter's Exact ledger replay, bounded by the
+/// incumbent's Score::reject_bound(). Results are bit-identical to routing
+/// every candidate from scratch (tests/nmap/naive_single_path.hpp is that
+/// oracle).
+engine::MappingResult map_with_single_path(const graph::CoreGraph& graph,
+                                           const noc::EvalContext& ctx,
+                                           const SinglePathOptions& options = {});
 
-/// Context-threaded run: the incremental evaluator and the shortestpath()
-/// router read the shared context's precomputed tables instead of
-/// recomputing distances per call. Bit-identical mapping and cost; the
-/// context must outlive the call.
-MappingResult map_with_single_path(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                                   const SinglePathOptions& options = {});
-
-/// Shard-worker entry point: scores one window of the swap-sweep candidate
-/// triangle against a fixed `placed` mapping under the single-minimum-path
-/// objective (the same policy map_with_single_path sweeps with), returning
+/// Shard-worker scorer: scores windows of the swap-sweep candidate
+/// triangle against a `placed` mapping under the single-minimum-path
+/// objective (the policy map_with_single_path sweeps with), returning
 /// per-row best candidates for the coordinator's lowest-index-first merge.
-/// Rejects SweepEval::LedgerFast: its router state is path-dependent (each
-/// worker would bind fresh and diverge from a single-node run's commit
-/// chain); the other modes are path-independent and merge byte-identically.
+/// The policy and its router persist across calls: a rows task's mapping
+/// is usually one swap from the previous task's, which the router re-binds
+/// in O(deg) instead of re-routing every commodity. The Exact router state
+/// is path-independent, so every call returns what a fresh scorer would and
+/// windows scored on any worker merge byte-identically.
 /// `options.max_sweeps` is ignored — the coordinator owns the sweep loop.
-engine::RowSliceOutcome score_single_path_rows(const graph::CoreGraph& graph,
-                                               const noc::EvalContext& ctx,
-                                               const noc::Mapping& placed,
-                                               const SinglePathOptions& options,
-                                               const engine::RowWindow& window);
+/// `graph` and `ctx` must outlive the scorer.
+class SinglePathPolicy;
+
+class SinglePathRowScorer {
+public:
+    SinglePathRowScorer(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
+                        const SinglePathOptions& options);
+    ~SinglePathRowScorer(); // SinglePathPolicy is complete only in single_path.cpp
+
+    engine::RowSliceOutcome score(const noc::Mapping& placed, const engine::RowWindow& window);
+
+private:
+    std::unique_ptr<SinglePathPolicy> policy_;
+    engine::SwapSweepDriver driver_;
+};
 
 } // namespace nocmap::nmap

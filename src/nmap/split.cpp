@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "engine/incremental_cost.hpp"
-#include "engine/incremental_router.hpp"
 #include "engine/sweep.hpp"
 #include "nmap/initialize.hpp"
 #include "noc/commodity.hpp"
@@ -93,15 +92,12 @@ private:
 class SplitPolicy final : public engine::SweepPolicy {
 public:
     SplitPolicy(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                const lp::McfOptions& slack_mcf, const lp::McfOptions& flow_mcf,
-                bool routing_prefilter)
+                const lp::McfOptions& slack_mcf, const lp::McfOptions& flow_mcf)
         : graph_(graph), ctx_(ctx), slack_(ctx, slack_mcf), flow_(ctx, flow_mcf),
-          routing_prefilter_(routing_prefilter), commodities_(graph_commodities(graph)) {}
+          commodities_(graph_commodities(graph)) {}
 
     engine::Score evaluate(const noc::Mapping& mapping) override {
         count_evaluation();
-        if (!bw_satisfied_ && routed_feasible(mapping, noc::kInvalidTile, noc::kInvalidTile))
-            bw_satisfied_ = true;
         if (!bw_satisfied_) {
             noc::remap_commodities(commodities_, mapping);
             const lp::McfResult slack = slack_.solve(commodities_);
@@ -130,21 +126,14 @@ public:
         noc::Mapping candidate = base;
         candidate.swap_tiles(a, b);
         if (!bw_satisfied_) {
-            if (routed_feasible(base, a, b)) {
-                // The O(deg) single-path re-route already satisfies the
-                // bandwidth constraints — a fortiori so does the best
-                // split-traffic flow; skip the MCF1 solve.
-                bw_satisfied_ = true;
-            } else {
-                count_evaluation();
-                noc::remap_commodities(commodities_, candidate);
-                const lp::McfResult slack = slack_.solve(commodities_);
-                if (!slack.feasible)
-                    return engine::Score{engine::kMaxValue, slack.objective, false};
-                // First bandwidth-satisfying candidate: switch to the cost
-                // phase. It beats any infeasible incumbent by construction.
-                bw_satisfied_ = true;
-            }
+            count_evaluation();
+            noc::remap_commodities(commodities_, candidate);
+            const lp::McfResult slack = slack_.solve(commodities_);
+            if (!slack.feasible)
+                return engine::Score{engine::kMaxValue, slack.objective, false};
+            // First bandwidth-satisfying candidate: switch to the cost
+            // phase. It beats any infeasible incumbent by construction.
+            bw_satisfied_ = true;
         }
         count_evaluation();
         noc::remap_commodities(commodities_, candidate);
@@ -159,11 +148,6 @@ public:
             evaluator_.emplace(graph_, ctx_, placed);
         else
             evaluator_->rebase(placed);
-        if (!routing_prefilter_ || bw_satisfied_) return;
-        if (!router_)
-            router_.emplace(graph_, ctx_, placed);
-        else
-            router_->rebase(placed);
     }
 
     bool bw_satisfied() const noexcept { return bw_satisfied_; }
@@ -171,21 +155,6 @@ public:
     std::size_t pruned() const noexcept { return pruned_; }
 
 private:
-    /// Prefilter check: true when single-path routing of `base` (or of
-    /// `base` with a, b swapped) satisfies the bandwidth constraints.
-    bool routed_feasible(const noc::Mapping& base, noc::TileId a, noc::TileId b) {
-        if (!routing_prefilter_) return false;
-        if (!router_)
-            router_.emplace(graph_, ctx_, base);
-        if (a == noc::kInvalidTile) return router_->feasible();
-        // Only the verdict is read and the candidate is always rolled
-        // back: any infeasible candidate may stop the replay early.
-        const bool feasible =
-            router_->reroute_swap(a, b, -std::numeric_limits<double>::infinity()).feasible;
-        router_->rollback();
-        return feasible;
-    }
-
     static engine::Score feasible_score(const lp::McfResult& cost) {
         // Bandwidth holds even when the flow LP failed to converge: the
         // mapping is accepted (secondary -inf outranks every slack) but its
@@ -200,10 +169,8 @@ private:
     const noc::EvalContext& ctx_;
     InnerMcf slack_;
     InnerMcf flow_;
-    const bool routing_prefilter_;
     std::vector<noc::Commodity> commodities_;
     std::optional<engine::IncrementalEvaluator> evaluator_;
-    std::optional<engine::IncrementalRouter> router_;
     bool bw_satisfied_ = false;
     std::size_t pruned_ = 0;
 };
@@ -251,7 +218,7 @@ lp::McfResult polish_mcf(const graph::CoreGraph& graph, const noc::EvalContext& 
                          make_mcf_options(options, objective, exact));
 }
 
-MappingResult map_minimizing_bandwidth(const graph::CoreGraph& graph,
+engine::MappingResult map_minimizing_bandwidth(const graph::CoreGraph& graph,
                                        const noc::EvalContext& ctx,
                                        const SplitOptions& options) {
     BandwidthPolicy policy(
@@ -260,7 +227,7 @@ MappingResult map_minimizing_bandwidth(const graph::CoreGraph& graph,
     const engine::SweepOutcome outcome =
         make_driver(options).sweep(initial_mapping(graph, ctx.topology()), policy);
 
-    MappingResult result;
+    engine::MappingResult result;
     result.mapping = outcome.best;
     result.evaluations = policy.evaluations();
 
@@ -275,25 +242,25 @@ MappingResult map_minimizing_bandwidth(const graph::CoreGraph& graph,
     const lp::McfResult final_cost =
         polish_mcf(graph, ctx, outcome.best, options, lp::McfObjective::MinFlow, exact);
     ++result.evaluations;
-    result.comm_cost = final_cost.feasible ? final_cost.objective : kMaxValue;
+    result.comm_cost = final_cost.feasible ? final_cost.objective : engine::kMaxValue;
     return result;
 }
 
 } // namespace
 
-MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                                 const SplitOptions& options) {
+engine::MappingResult map_with_splitting(const graph::CoreGraph& graph,
+                                         const noc::EvalContext& ctx,
+                                         const SplitOptions& options) {
     if (options.optimize_bandwidth) return map_minimizing_bandwidth(graph, ctx, options);
 
     SplitPolicy policy(
         graph, ctx,
         make_mcf_options(options, lp::McfObjective::MinSlack, use_exact_inner(options)),
-        make_mcf_options(options, lp::McfObjective::MinFlow, use_exact_inner(options)),
-        options.routing_prefilter);
+        make_mcf_options(options, lp::McfObjective::MinFlow, use_exact_inner(options)));
     const engine::SweepOutcome outcome =
         make_driver(options).sweep(initial_mapping(graph, ctx.topology()), policy);
 
-    MappingResult result;
+    engine::MappingResult result;
     result.mapping = outcome.best;
     result.evaluations = policy.evaluations();
 
@@ -314,7 +281,7 @@ MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::EvalC
         const lp::McfResult final_slack =
             polish_mcf(graph, ctx, outcome.best, options, lp::McfObjective::MinSlack, exact);
         ++result.evaluations;
-        result.comm_cost = kMaxValue;
+        result.comm_cost = engine::kMaxValue;
         result.loads = final_slack.loads;
         result.flows = final_slack.flows;
     }
@@ -324,12 +291,6 @@ MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::EvalC
                                   << (policy.bw_satisfied() ? outcome.best_score.primary
                                                             : outcome.best_score.secondary);
     return result;
-}
-
-MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                 const SplitOptions& options) {
-    const noc::EvalContext ctx = noc::EvalContext::borrow(topo);
-    return map_with_splitting(graph, ctx, options);
 }
 
 } // namespace nocmap::nmap

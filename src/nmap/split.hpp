@@ -20,10 +20,10 @@
 
 #include <functional>
 
+#include "engine/mapping_result.hpp"
 #include "graph/core_graph.hpp"
 #include "lp/mcf.hpp"
-#include "nmap/result.hpp"
-#include "noc/topology.hpp"
+#include "noc/eval_context.hpp"
 
 namespace nocmap::nmap {
 
@@ -71,15 +71,6 @@ struct SplitOptions {
     /// program, so MappingResult::min_bandwidth() is the Figure-4 number;
     /// comm_cost still reports the MCF2 flow of the final mapping.
     bool optimize_bandwidth = false;
-    /// Phase-1 shortcut: keep an engine::IncrementalRouter (Exact mode) on
-    /// the sweep's base mapping and skip a candidate's MCF1 slack solve
-    /// when the O(deg) single-path re-route already proves the bandwidth
-    /// constraints hold (a single-path routing is an MCF-feasible flow for
-    /// both split modes, so the shortcut is sound). Default off: the
-    /// approximate MCF1 engine may fail to certify a feasible candidate
-    /// that the router certifies, so the sweep's phase-1 decisions — and
-    /// with them the final mapping — can legitimately differ.
-    bool routing_prefilter = false;
     /// Cooperative cancellation, polled at sweep-row boundaries (see
     /// engine::SweepOptions::cancel); the best mapping so far still gets
     /// its final exact scoring.
@@ -88,14 +79,10 @@ struct SplitOptions {
 
 /// Runs NMAP with split-traffic routing. `comm_cost` is the MCF2 objective
 /// (total flow = bandwidth-weighted hops); `flows` carries the per-commodity
-/// split so routing tables can be generated.
-MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::Topology& topo,
-                                 const SplitOptions& options = {});
-
-/// Context-threaded variant: quadrant construction and the MCF engines use
-/// the shared EvalContext; the topology overload wraps a borrowed context.
-/// Bit-identical to the topology overload for every option set.
-MappingResult map_with_splitting(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
-                                 const SplitOptions& options = {});
+/// split so routing tables can be generated. Quadrant construction and the
+/// MCF engines read the context's flat tables.
+engine::MappingResult map_with_splitting(const graph::CoreGraph& graph,
+                                         const noc::EvalContext& ctx,
+                                         const SplitOptions& options = {});
 
 } // namespace nocmap::nmap

@@ -11,16 +11,6 @@ namespace {
 constexpr double kMbpsPjToMw = 8.0 * 1e6 * 1e-12 * 1e3;
 } // namespace
 
-double mapping_energy_mw(const Topology& topo, const std::vector<Commodity>& commodities,
-                         const EnergyModel& model) {
-    double total = 0.0;
-    for (const Commodity& c : commodities) {
-        const auto hops = static_cast<std::size_t>(topo.distance(c.src_tile, c.dst_tile));
-        total += c.value * model.bit_energy(hops);
-    }
-    return total * kMbpsPjToMw;
-}
-
 double mapping_energy_mw(const EvalContext& ctx, const std::vector<Commodity>& commodities) {
     double total = 0.0;
     for (const Commodity& c : commodities) {

@@ -40,11 +40,7 @@ struct EnergyModel {
 
 /// Communication energy of a mapping under minimal routing, in mW
 /// (MB/s * pJ/bit * 8 bit/byte * 1e6 B/MB * 1e-12 J/pJ * 1e3 mW/W).
-/// Depends only on tile distances, like Equation 7.
-double mapping_energy_mw(const Topology& topo, const std::vector<Commodity>& commodities,
-                         const EnergyModel& model = {});
-
-/// Same figure against a shared evaluation context: distances and per-hop
+/// Depends only on tile distances, like Equation 7. Distances and per-hop
 /// bit energies come from the context's precomputed tables, and the model
 /// is the one the context was built with.
 double mapping_energy_mw(const EvalContext& ctx, const std::vector<Commodity>& commodities);

@@ -53,13 +53,6 @@ double total_violation(const Topology& topo, const LinkLoads& loads) {
     return violation;
 }
 
-double communication_cost(const Topology& topo, const std::vector<Commodity>& commodities) {
-    double cost = 0.0;
-    for (const Commodity& c : commodities)
-        cost += c.value * static_cast<double>(topo.distance(c.src_tile, c.dst_tile));
-    return cost;
-}
-
 double communication_cost(const EvalContext& ctx, const std::vector<Commodity>& commodities) {
     double cost = 0.0;
     for (const Commodity& c : commodities)
@@ -71,13 +64,6 @@ double total_flow(const LinkLoads& loads) {
     double sum = 0.0;
     for (const double load : loads) sum += load;
     return sum;
-}
-
-double average_weighted_hops(const Topology& topo, const std::vector<Commodity>& commodities) {
-    double demand = 0.0;
-    for (const Commodity& c : commodities) demand += c.value;
-    if (demand <= 0.0) return 0.0;
-    return communication_cost(topo, commodities) / demand;
 }
 
 double average_weighted_hops(const EvalContext& ctx, const std::vector<Commodity>& commodities) {

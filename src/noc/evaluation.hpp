@@ -34,12 +34,9 @@ bool satisfies_bandwidth(const Topology& topo, const LinkLoads& loads, double ep
 /// slack variables measure.
 double total_violation(const Topology& topo, const LinkLoads& loads);
 
-/// Equation 7: Σ_k vl(d_k) · dist(source(d_k), dest(d_k)). Depends only on
-/// the mapping (every minimal route realizes it); units: hops · MB/s.
-double communication_cost(const Topology& topo, const std::vector<Commodity>& commodities);
-
-/// Equation 7 against a shared evaluation context: identical value, one
-/// table load per commodity instead of per-call coordinate arithmetic.
+/// Equation 7: Σ_k vl(d_k) · dist(source(d_k), dest(d_k)), one distance
+/// table load per commodity. Depends only on the mapping (every minimal
+/// route realizes it); units: hops · MB/s.
 double communication_cost(const EvalContext& ctx, const std::vector<Commodity>& commodities);
 
 /// Σ over links of routed flow — the MCF2 objective. For single-path minimal
@@ -52,7 +49,6 @@ inline double min_uniform_bandwidth(const LinkLoads& loads) { return max_load(lo
 
 /// Average hops per unit of traffic (commcost / total demand); a secondary
 /// delay proxy used in reports.
-double average_weighted_hops(const Topology& topo, const std::vector<Commodity>& commodities);
 double average_weighted_hops(const EvalContext& ctx, const std::vector<Commodity>& commodities);
 
 } // namespace nocmap::noc

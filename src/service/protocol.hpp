@@ -5,7 +5,7 @@
 //
 //   {"id":"r1","method":"map","apps":["vopd","mpeg4"],
 //    "topologies":"mesh,torus:4x4","mapper":"nmap","bandwidth":1000,
-//    "params":{"sweeps":2,"eval":"ledger-fast"},"seed":7,"deadline_ms":5000}
+//    "params":{"sweeps":2,"threads":4},"seed":7,"deadline_ms":5000}
 //   {"id":"d1","method":"describe","algo":"nmap"}
 //   {"id":"s1","method":"stats"}
 //   {"id":"m1","method":"metrics"}
@@ -35,14 +35,17 @@
 //   {"id":"h1","method":"hello"}
 //   {"id":"t1","method":"shard-rows","graph":"...","topology":"mesh:4x4",
 //    "bandwidth":1000,"mapping":[0,1,-1,...],"row_begin":3,"row_end":4,
-//    "col_begin":8,"col_end":12,"params":{"eval":"ledger-exact"}}
+//    "col_begin":8,"col_end":12,"params":{"threads":2}}
 //   {"id":"t2","method":"shard-map","scenarios":[{"app":"vopd",
 //    "graph":"...","topology":"torus:4x4","bandwidth":1000,"mapper":"nmap",
 //    "params":{},"seed":7}, ...]}
 //
 // hello advertises the worker's core budget for weighted partitioning. A
 // shard-rows task scores one window of the swap-sweep candidate triangle
-// against the carried mapping; a shard-map task runs whole scenarios.
+// against the carried mapping; its "params" are nmap's knobs, validated
+// against nmap's ParamSpec list before any scoring (a bad one gets an
+// error line whose "code" is the engine::MapErrorCode name, e.g.
+// "unknown-param"). A shard-map task runs whole scenarios.
 // Both replies ship every floating-point metric as a hex-float string
 // (util::json::hex_number): the report-facing number() is %.6g, which is
 // lossy, and the coordinator must rebuild byte-identical documents from
@@ -89,7 +92,7 @@ struct ShardRowsRequest {
     /// The placed mapping, per tile: core id or -1 when the tile is empty.
     std::vector<std::int64_t> tile_cores;
     engine::RowWindow window;
-    engine::Params params;   ///< nmap knobs ("eval", "threads")
+    engine::Params params;   ///< nmap knobs ("threads")
 };
 
 /// One scenario of a "shard-map" task. The graph rides along as text so a

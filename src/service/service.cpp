@@ -373,6 +373,15 @@ std::vector<std::string> Service::handle_batch(const std::vector<std::string>& l
             }
             case Request::Kind::ShardRows: {
                 const ShardRowsRequest& t = request.shard_rows;
+                // The knobs are nmap's: validated against its ParamSpec
+                // list before anything is scored, with the typed error a
+                // map request gets (unknown key, out-of-range value).
+                if (const auto err = engine::validate_params(
+                        t.params, engine::registry().describe("nmap").params)) {
+                    p.response = error_response(request.id, err->message,
+                                                std::string(engine::to_string(err->code)));
+                    break;
+                }
                 const auto graph = graph_from_text(t.graph_text);
                 const auto spec = portfolio::TopologySpec::parse(t.topology, t.bandwidth);
                 const auto ctx = runner_.cache().get(spec, graph->node_count());
@@ -383,14 +392,23 @@ std::vector<std::string> Service::handle_batch(const std::vector<std::string>& l
                                      static_cast<noc::TileId>(tile));
                 nmap::SinglePathOptions opt;
                 opt.threads = static_cast<std::size_t>(t.params.int_or("threads", 1));
-                const std::string eval = t.params.string_or("eval", "ledger-exact");
-                if (eval == "naive") opt.eval = nmap::SweepEval::Naive;
-                else if (eval == "incremental") opt.eval = nmap::SweepEval::Incremental;
-                else if (eval == "ledger-fast") opt.eval = nmap::SweepEval::LedgerFast;
-                else opt.eval = nmap::SweepEval::LedgerExact;
-                p.response = shard_rows_response(
-                    request.id,
-                    nmap::score_single_path_rows(*graph, *ctx, placed, opt, t.window));
+                RowScorerSlot slot;
+                {
+                    const std::lock_guard<std::mutex> lock(row_scorer_mutex_);
+                    if (row_scorer_.graph == graph && row_scorer_.ctx == ctx &&
+                        row_scorer_.threads == opt.threads)
+                        slot = std::move(row_scorer_);
+                }
+                if (!slot.scorer)
+                    slot = RowScorerSlot{graph, ctx, opt.threads,
+                                         std::make_unique<nmap::SinglePathRowScorer>(
+                                             *graph, *ctx, opt)};
+                p.response = shard_rows_response(request.id, slot.scorer->score(placed, t.window));
+                // Swap, not assign: the displaced slot is destroyed whole
+                // (scorer before the graph and context it refers to) after
+                // the lock is released.
+                const std::lock_guard<std::mutex> lock(row_scorer_mutex_);
+                std::swap(row_scorer_, slot);
                 break;
             }
             case Request::Kind::ShardMap: {

@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "nmap/single_path.hpp"
 #include "obs/metrics.hpp"
 #include "portfolio/runner.hpp"
 #include "service/protocol.hpp"
@@ -167,6 +168,20 @@ private:
     std::mutex graphs_mutex_;
     std::map<std::string, std::shared_ptr<const graph::CoreGraph>> graphs_;
     std::map<std::string, std::shared_ptr<const graph::CoreGraph>> text_graphs_;
+    /// The shard-rows scorer of the last (graph, fabric, threads) a rows
+    /// task named. The coordinator's next task for that scenario places
+    /// the cores one swap further on, which the kept router re-binds in
+    /// O(deg). A request takes the slot out while it scores; the slot owns
+    /// the graph and context the scorer refers to.
+    struct RowScorerSlot {
+        std::shared_ptr<const graph::CoreGraph> graph;
+        std::shared_ptr<const noc::EvalContext> ctx;
+        std::size_t threads = 0;
+        /// Last member: destroyed before the graph and context.
+        std::unique_ptr<nmap::SinglePathRowScorer> scorer;
+    };
+    std::mutex row_scorer_mutex_;
+    RowScorerSlot row_scorer_;
     std::atomic<bool> shutdown_{false};
     std::atomic<bool> draining_{false};
     /// The listening socket while serve_socket runs (-1 otherwise):

@@ -272,10 +272,6 @@ portfolio::ScenarioResult Coordinator::rows_scenario(const portfolio::Scenario& 
             r.error_code = std::string(engine::to_string(err->code));
             return r;
         }
-        if (scenario.params.string_or("eval", "ledger-exact") == "ledger-fast")
-            throw std::invalid_argument(
-                "rows-mode sharding cannot use eval=ledger-fast (path-dependent router "
-                "state); use ledger-exact, incremental or naive");
         const auto max_sweeps =
             static_cast<std::size_t>(scenario.params.int_or("sweeps", 1));
 

@@ -17,9 +17,8 @@
 //     failure/retry interleaving. Rows shorter than one chunk ride a
 //     single multi-row task that early-stops at the first improving row
 //     (the tail of a pass costs one round-trip, not one per row).
-//     Requires mapper "nmap" with a path-independent eval (naive,
-//     incremental or ledger-exact; ledger-fast is rejected — its router
-//     state depends on the commit history a worker does not have).
+//     Requires mapper "nmap" (its Exact router state depends only on the
+//     carried mapping, never on a worker's commit history).
 //
 //   * Scenarios — whole portfolio scenarios partitioned contiguously over
 //     workers, weighted by the core counts advertised in the hello

@@ -12,10 +12,10 @@
 #include "engine/incremental_cost.hpp"
 #include "engine/sweep.hpp"
 #include "graph/random_graph.hpp"
+#include "../nmap/naive_single_path.hpp"
 #include "nmap/initialize.hpp"
 #include "nmap/shortest_path_router.hpp"
 #include "nmap/single_path.hpp"
-#include "nmap/split.hpp"
 #include "noc/evaluation.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -43,9 +43,9 @@ std::pair<noc::TileId, noc::TileId> random_swap(util::Rng& rng, const noc::Mappi
 }
 
 void expect_matches_full_reroute(const IncrementalRouter& router,
-                                 const graph::CoreGraph& graph, const noc::Topology& topo,
+                                 const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                                  const char* what) {
-    const nmap::SinglePathRouting full = nmap::evaluate_mapping(graph, topo, router.mapping());
+    const nmap::SinglePathRouting full = nmap::evaluate_mapping(graph, ctx, router.mapping());
     EXPECT_EQ(router.loads(), full.loads) << what;
     EXPECT_EQ(router.routes(), full.routes) << what;
     EXPECT_EQ(router.feasible(), full.feasible) << what;
@@ -64,24 +64,44 @@ TEST(IncrementalRouter, ExactIsBitIdenticalToFullRerouteUnderRandomSwaps) {
         std::size_t cores;
         std::uint64_t seed;
         double capacity_scale; ///< capacity = initial max load x this
+        noc::Topology fabric;
     };
+    // A directed fabric: a one-way ring with forward chords, so hop
+    // distances are asymmetric and quadrants differ from any grid's.
+    std::vector<noc::Link> chords;
+    for (noc::TileId t = 0; t < 9; ++t) {
+        chords.push_back({t, static_cast<noc::TileId>((t + 1) % 9), 1e9});
+        chords.push_back({t, static_cast<noc::TileId>((t + 3) % 9), 1e9});
+    }
     // Full and sparse fabrics, loose and tight capacities (tight ones keep
-    // the search crossing the feasibility boundary).
-    const Case cases[] = {{9, 3, 10.0}, {12, 7, 1.05}, {16, 11, 1.3}, {25, 5, 0.95}};
+    // the search crossing the feasibility boundary), and every fabric kind:
+    // which commodities have a single minimal path (and so never re-route
+    // unless incident) depends on the fabric.
+    const Case cases[] = {
+        {9, 3, 10.0, noc::Topology::smallest_mesh_for(9, 1e9)},
+        {12, 7, 1.05, noc::Topology::smallest_mesh_for(12, 1e9)},
+        {16, 11, 1.3, noc::Topology::smallest_mesh_for(16, 1e9)},
+        {25, 5, 0.95, noc::Topology::smallest_mesh_for(25, 1e9)},
+        {15, 13, 1.05, noc::Topology::torus(4, 4, 1e9)},
+        {10, 17, 1.1, noc::Topology::ring(10, 1e9)},
+        {16, 19, 1.05, noc::Topology::hypercube(4, 1e9)},
+        {9, 23, 1.1, noc::Topology::custom(9, chords)},
+    };
     for (const Case& c : cases) {
         const auto g = random_graph(c.cores, c.seed);
-        auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        auto topo = c.fabric;
+        const auto ctx = noc::EvalContext::borrow(topo);
         const auto initial = nmap::initial_mapping(g, topo);
         topo.set_uniform_capacity(
-            noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) *
+            noc::max_load(nmap::evaluate_mapping(g, ctx, initial).loads) *
             c.capacity_scale);
 
         RerouteOptions options;
         options.mode = RerouteMode::Exact;
         options.resync_cadence = 7; // frequent audits
         options.audit = true;
-        IncrementalRouter router(g, topo, initial, options);
-        expect_matches_full_reroute(router, g, topo, "after bind");
+        IncrementalRouter router(g, ctx, initial, options);
+        expect_matches_full_reroute(router, g, ctx, "after bind");
 
         util::Rng rng(c.seed * 977 + 1);
         for (int step = 0; step < 60; ++step) {
@@ -90,7 +110,7 @@ TEST(IncrementalRouter, ExactIsBitIdenticalToFullRerouteUnderRandomSwaps) {
             // The pending score is the full re-route of the candidate.
             noc::Mapping candidate = router.mapping();
             candidate.swap_tiles(a, b);
-            const nmap::SinglePathRouting full = nmap::evaluate_mapping(g, topo, candidate);
+            const nmap::SinglePathRouting full = nmap::evaluate_mapping(g, ctx, candidate);
             EXPECT_EQ(eval.feasible, full.feasible) << "step " << step;
             EXPECT_EQ(eval.max_load, full.max_load) << "step " << step;
             EXPECT_EQ(eval.cost, full.cost) << "step " << step;
@@ -99,7 +119,7 @@ TEST(IncrementalRouter, ExactIsBitIdenticalToFullRerouteUnderRandomSwaps) {
             } else {
                 ASSERT_NO_THROW(router.commit()) << "audit diverged at step " << step;
             }
-            expect_matches_full_reroute(router, g, topo, "after step");
+            expect_matches_full_reroute(router, g, ctx, "after step");
         }
         EXPECT_GT(router.commit_count(), 30u);
     }
@@ -124,15 +144,16 @@ TEST(IncrementalRouter, BoundedReplayIsExactOrAProvableReject) {
     for (const Case& c : cases) {
         const auto g = random_graph(c.cores, c.seed);
         auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const auto ctx = noc::EvalContext::borrow(topo);
         const auto initial = nmap::initial_mapping(g, topo);
         topo.set_uniform_capacity(
-            noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) *
+            noc::max_load(nmap::evaluate_mapping(g, ctx, initial).loads) *
             c.capacity_scale);
 
         RerouteOptions options;
         options.resync_cadence = 5;
         options.audit = true;
-        IncrementalRouter router(g, topo, initial, options);
+        IncrementalRouter router(g, ctx, initial, options);
         util::Rng rng(c.seed * 131 + 7);
         for (int step = 0; step < 40; ++step) {
             const auto [a, b] = random_swap(rng, router.mapping());
@@ -160,7 +181,7 @@ TEST(IncrementalRouter, BoundedReplayIsExactOrAProvableReject) {
                 // The next unbounded evaluation sees no residue of the
                 // (possibly partial) bounded one.
                 const auto [c1, c2] = random_swap(rng, router.mapping());
-                IncrementalRouter fresh(g, topo, router.mapping(), options);
+                IncrementalRouter fresh(g, ctx, router.mapping(), options);
                 const RerouteEval next = router.reroute_swap(c1, c2);
                 const RerouteEval want = fresh.reroute_swap(c1, c2);
                 EXPECT_EQ(next.feasible, want.feasible) << "step " << step;
@@ -173,40 +194,19 @@ TEST(IncrementalRouter, BoundedReplayIsExactOrAProvableReject) {
                 ASSERT_NO_THROW(router.commit()) << "audit diverged at step " << step;
             }
         }
-        expect_matches_full_reroute(router, g, topo, "after bounded chain");
+        expect_matches_full_reroute(router, g, ctx, "after bounded chain");
     }
     // Tight capacities: both bounded flavours must actually stop replays.
     EXPECT_GT(exits_unconditional, 0u);
     EXPECT_GT(exits_at_committed, 0u);
 }
 
-TEST(IncrementalRouter, ExactContextThreadedMatchesPlain) {
-    const auto g = apps::make_application("vopd");
-    const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const noc::EvalContext ctx(topo);
-    const auto initial = nmap::initial_mapping(g, topo);
-    IncrementalRouter plain(g, topo, initial);
-    IncrementalRouter threaded(g, ctx, initial);
-    util::Rng rng(42);
-    for (int step = 0; step < 40; ++step) {
-        const auto [a, b] = random_swap(rng, plain.mapping());
-        const RerouteEval ep = plain.reroute_swap(a, b);
-        const RerouteEval et = threaded.reroute_swap(a, b);
-        EXPECT_EQ(ep.cost, et.cost);
-        EXPECT_EQ(ep.max_load, et.max_load);
-        EXPECT_EQ(ep.feasible, et.feasible);
-        plain.commit();
-        threaded.commit();
-        EXPECT_EQ(plain.loads(), threaded.loads());
-        EXPECT_EQ(plain.routes(), threaded.routes());
-    }
-}
-
 TEST(IncrementalRouter, RebaseTakesTheSwapShortcutAndStaysExact) {
     const auto g = random_graph(12, 19);
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
-    IncrementalRouter router(g, topo, initial);
+    IncrementalRouter router(g, ctx, initial);
     const std::size_t full_before = router.full_reroute_count();
 
     // One swap away: must go through the O(deg) path, no full re-route.
@@ -215,7 +215,7 @@ TEST(IncrementalRouter, RebaseTakesTheSwapShortcutAndStaysExact) {
     router.rebase(swapped);
     EXPECT_EQ(router.full_reroute_count(), full_before);
     EXPECT_EQ(router.mapping(), swapped);
-    expect_matches_full_reroute(router, g, topo, "rebase via swap");
+    expect_matches_full_reroute(router, g, ctx, "rebase via swap");
 
     // Far away (three tiles rotated): needs the from-scratch path.
     noc::Mapping rotated = swapped;
@@ -224,13 +224,14 @@ TEST(IncrementalRouter, RebaseTakesTheSwapShortcutAndStaysExact) {
     router.rebase(rotated);
     EXPECT_GT(router.full_reroute_count(), full_before);
     EXPECT_EQ(router.mapping(), rotated);
-    expect_matches_full_reroute(router, g, topo, "rebase via rebind");
+    expect_matches_full_reroute(router, g, ctx, "rebase via rebind");
 }
 
 TEST(IncrementalRouter, RejectsMisuse) {
     const auto g = random_graph(8, 2);
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    IncrementalRouter router(g, topo, nmap::initial_mapping(g, topo));
+    const auto ctx = noc::EvalContext::borrow(topo);
+    IncrementalRouter router(g, ctx, nmap::initial_mapping(g, topo));
     EXPECT_THROW(router.commit(), std::logic_error);
     router.reroute_swap(0, 1);
     EXPECT_THROW(router.reroute_swap(1, 2), std::logic_error);
@@ -245,13 +246,14 @@ TEST(IncrementalRouter, RejectsMisuse) {
 TEST(IncrementalRouter, FastModeInvariants) {
     const auto g = random_graph(16, 23);
     auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
     topo.set_uniform_capacity(
-        noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) * 1.02);
+        noc::max_load(nmap::evaluate_mapping(g, ctx, initial).loads) * 1.02);
 
     RerouteOptions options;
     options.mode = RerouteMode::Fast;
-    IncrementalRouter router(g, topo, initial, options);
+    IncrementalRouter router(g, ctx, initial, options);
     util::Rng rng(99);
     for (int step = 0; step < 80; ++step) {
         const auto [a, b] = random_swap(rng, router.mapping());
@@ -259,7 +261,7 @@ TEST(IncrementalRouter, FastModeInvariants) {
         if (!eval.feasible) {
             noc::Mapping candidate = router.mapping();
             candidate.swap_tiles(a, b);
-            EXPECT_FALSE(nmap::evaluate_mapping(g, topo, candidate).feasible)
+            EXPECT_FALSE(nmap::evaluate_mapping(g, ctx, candidate).feasible)
                 << "fast mode reported infeasible where the full re-route is feasible";
         }
         if (step % 2 == 0)
@@ -277,37 +279,35 @@ TEST(IncrementalRouter, FastModeInvariants) {
     }
 }
 
-nmap::SinglePathOptions with_eval(nmap::SweepEval eval, std::size_t threads = 1,
-                                  std::size_t sweeps = 1) {
+nmap::SinglePathOptions with_threads(std::size_t threads = 1, std::size_t sweeps = 1) {
     nmap::SinglePathOptions opt;
-    opt.eval = eval;
     opt.threads = threads;
     opt.max_sweeps = sweeps;
     return opt;
 }
 
-/// Sweep-level acceptance: the default LedgerExact mode returns exactly the
-/// naive (route-everything) mapper's result, serial and parallel, across
-/// resync cadences.
+/// Sweep-level acceptance under the router's audit resync: nmap returns
+/// exactly the Naive (route-everything) oracle's result, serial and
+/// parallel, across resync cadences.
 TEST(IncrementalRouter, LedgerExactSweepMatchesNaiveSweep) {
     for (const char* app : {"vopd", "mpeg4", "pip", "dsd"}) {
         const auto g = apps::make_application(app);
         const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-        const auto naive =
-            nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::Naive));
+        const auto ctx = noc::EvalContext::borrow(topo);
+        const auto naive = testing_oracle::naive_single_path(g, ctx);
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            auto opt = with_eval(nmap::SweepEval::LedgerExact, threads);
-            opt.reroute.audit = true;
-            opt.reroute.resync_cadence = 5;
-            const auto ledger = nmap::map_with_single_path(g, topo, opt);
+            auto opt = with_threads(threads);
+            opt.audit = true;
+            opt.resync_cadence = 5;
+            const auto ledger = nmap::map_with_single_path(g, ctx, opt);
             EXPECT_EQ(naive.mapping, ledger.mapping) << app << " threads=" << threads;
             EXPECT_DOUBLE_EQ(naive.comm_cost, ledger.comm_cost) << app;
             EXPECT_EQ(naive.loads, ledger.loads) << app;
         }
         // Cadence 0 (never resync) must change nothing either.
-        auto no_resync = with_eval(nmap::SweepEval::LedgerExact);
-        no_resync.reroute.resync_cadence = 0;
-        EXPECT_EQ(naive.mapping, nmap::map_with_single_path(g, topo, no_resync).mapping)
+        auto no_resync = with_threads();
+        no_resync.resync_cadence = 0;
+        EXPECT_EQ(naive.mapping, nmap::map_with_single_path(g, ctx, no_resync).mapping)
             << app;
     }
 }
@@ -315,31 +315,32 @@ TEST(IncrementalRouter, LedgerExactSweepMatchesNaiveSweep) {
 TEST(IncrementalRouter, LedgerExactSweepMatchesNaiveUnderTightCapacities) {
     const auto g = apps::make_application("pip");
     auto topo = noc::Topology::mesh(4, 2, 1e9);
-    const auto unconstrained = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto unconstrained = nmap::map_with_single_path(g, ctx);
     topo.set_uniform_capacity(noc::max_load(unconstrained.loads) * 1.05);
-    const auto naive = nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::Naive));
-    auto opt = with_eval(nmap::SweepEval::LedgerExact);
-    opt.reroute.audit = true;
-    opt.reroute.resync_cadence = 3;
-    const auto ledger = nmap::map_with_single_path(g, topo, opt);
+    const auto naive = testing_oracle::naive_single_path(g, ctx);
+    auto opt = with_threads();
+    opt.audit = true;
+    opt.resync_cadence = 3;
+    const auto ledger = nmap::map_with_single_path(g, ctx, opt);
     EXPECT_EQ(naive.mapping, ledger.mapping);
     EXPECT_EQ(naive.feasible, ledger.feasible);
     EXPECT_EQ(naive.loads, ledger.loads);
 }
 
-/// LedgerExact's scoring path spelled out on the public engine API: the
+/// nmap's scoring path spelled out on the public engine API: the
 /// Eq.7 delta prune, then the replay bounded by the incumbent's
 /// reject_bound(). Serial, so it scores exactly what a threads=1 sweep
 /// does, and it splits the early exits by incumbent phase.
 class BoundedLedgerPolicy final : public SweepPolicy {
 public:
-    BoundedLedgerPolicy(const graph::CoreGraph& graph, const noc::Topology& topo,
+    BoundedLedgerPolicy(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
                         RerouteOptions options)
-        : graph_(graph), topo_(topo), options_(options) {}
+        : graph_(graph), ctx_(ctx), options_(options) {}
 
     Score evaluate(const noc::Mapping& mapping) override {
         if (!router_)
-            router_.emplace(graph_, topo_, mapping, options_);
+            router_.emplace(graph_, ctx_, mapping, options_);
         else
             router_->rebase(mapping);
         const RerouteEval& eval = router_->committed_eval();
@@ -363,7 +364,7 @@ public:
 
     void on_rebase(const noc::Mapping& placed, const Score&) override {
         if (!evaluator_)
-            evaluator_.emplace(graph_, topo_, placed);
+            evaluator_.emplace(graph_, ctx_, placed);
         else
             evaluator_->rebase(placed);
         router_->rebase(placed);
@@ -374,20 +375,20 @@ public:
 
 private:
     const graph::CoreGraph& graph_;
-    const noc::Topology& topo_;
+    const noc::EvalContext& ctx_;
     RerouteOptions options_;
     std::optional<IncrementalEvaluator> evaluator_;
     std::optional<IncrementalRouter> router_;
 };
 
 /// The "early exits N" figure of nmap's debug summary line for one run.
-std::size_t logged_early_exits(const graph::CoreGraph& g, const noc::Topology& topo,
+std::size_t logged_early_exits(const graph::CoreGraph& g, const noc::EvalContext& ctx,
                                const nmap::SinglePathOptions& opt,
                                MappingResult& result) {
     const util::LogLevel saved = util::log_level();
     util::set_log_level(util::LogLevel::Debug);
     testing::internal::CaptureStderr();
-    result = nmap::map_with_single_path(g, topo, opt);
+    result = nmap::map_with_single_path(g, ctx, opt);
     const std::string log = testing::internal::GetCapturedStderr();
     util::set_log_level(saved);
     const std::string key = "early exits ";
@@ -402,8 +403,8 @@ std::size_t logged_early_exits(const graph::CoreGraph& g, const noc::Topology& t
 /// The bound's both branches under the real sweep: from an initial mapping
 /// that is infeasible (the incumbent's peak load bounds the replay) into
 /// the feasible phase (any infeasible candidate stops at its first
-/// overload), LedgerExact still returns the Naive oracle's mapping, loads
-/// and feasibility, serial and parallel, with the audit resync on.
+/// overload), nmap still returns the Naive oracle's mapping, loads and
+/// feasibility, serial and parallel, with the audit resync on.
 TEST(IncrementalRouter, BoundedLedgerSweepMatchesNaiveFromAnInfeasibleStart) {
     struct Case {
         const char* spec;
@@ -415,13 +416,13 @@ TEST(IncrementalRouter, BoundedLedgerSweepMatchesNaiveFromAnInfeasibleStart) {
     for (const Case& c : cases) {
         const auto g = apps::load_graph_or_application(c.spec);
         auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const auto ctx = noc::EvalContext::borrow(topo);
         const auto initial = nmap::initial_mapping(g, topo);
         topo.set_uniform_capacity(
-            noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) *
+            noc::max_load(nmap::evaluate_mapping(g, ctx, initial).loads) *
             c.capacity_scale);
-        ASSERT_FALSE(nmap::evaluate_mapping(g, topo, initial).feasible) << c.spec;
-        const auto naive =
-            nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::Naive));
+        ASSERT_FALSE(nmap::evaluate_mapping(g, ctx, initial).feasible) << c.spec;
+        const auto naive = testing_oracle::naive_single_path(g, ctx);
         ASSERT_TRUE(naive.feasible) << c.spec << ": the search must reach the feasible phase";
 
         RerouteOptions reroute;
@@ -429,10 +430,11 @@ TEST(IncrementalRouter, BoundedLedgerSweepMatchesNaiveFromAnInfeasibleStart) {
         reroute.resync_cadence = 3;
         std::size_t serial_exits = 0;
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-            auto opt = with_eval(nmap::SweepEval::LedgerExact, threads);
-            opt.reroute = reroute;
+            auto opt = with_threads(threads);
+            opt.audit = reroute.audit;
+            opt.resync_cadence = reroute.resync_cadence;
             MappingResult ledger;
-            const std::size_t exits = logged_early_exits(g, topo, opt, ledger);
+            const std::size_t exits = logged_early_exits(g, ctx, opt, ledger);
             EXPECT_EQ(naive.mapping, ledger.mapping) << c.spec << " threads=" << threads;
             EXPECT_EQ(naive.feasible, ledger.feasible) << c.spec;
             EXPECT_EQ(naive.comm_cost, ledger.comm_cost) << c.spec;
@@ -441,7 +443,7 @@ TEST(IncrementalRouter, BoundedLedgerSweepMatchesNaiveFromAnInfeasibleStart) {
             if (threads == 1) serial_exits = exits;
         }
 
-        BoundedLedgerPolicy policy(g, topo, reroute);
+        BoundedLedgerPolicy policy(g, ctx, reroute);
         const SweepOutcome outcome = SwapSweepDriver().sweep(initial, policy);
         EXPECT_EQ(naive.mapping, outcome.best) << c.spec;
         EXPECT_GT(policy.exits_infeasible, 0u) << c.spec;
@@ -454,33 +456,12 @@ TEST(IncrementalRouter, BoundedLedgerSweepMatchesNaiveFromAnInfeasibleStart) {
 TEST(IncrementalRouter, LedgerExactMultiSweepParallelMatchesSerial) {
     const auto g = random_graph(30, 11);
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto serial =
-        nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::LedgerExact, 1, 3));
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto serial = nmap::map_with_single_path(g, ctx, with_threads(1, 3));
     for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
-        const auto parallel = nmap::map_with_single_path(
-            g, topo, with_eval(nmap::SweepEval::LedgerExact, threads, 3));
+        const auto parallel = nmap::map_with_single_path(g, ctx, with_threads(threads, 3));
         EXPECT_EQ(serial.mapping, parallel.mapping) << "threads=" << threads;
         EXPECT_DOUBLE_EQ(serial.comm_cost, parallel.comm_cost);
-    }
-}
-
-/// Fast mode is a different heuristic, so only soundness is asserted: a
-/// complete, valid mapping whose reported score comes from the final full
-/// re-route, and parallel == serial determinism.
-TEST(IncrementalRouter, LedgerFastSweepIsSoundAndDeterministic) {
-    for (const char* app : {"vopd", "pip"}) {
-        const auto g = apps::make_application(app);
-        const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-        const auto serial =
-            nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::LedgerFast));
-        EXPECT_TRUE(serial.mapping.is_complete());
-        EXPECT_NO_THROW(serial.mapping.validate());
-        const auto rescored = nmap::evaluate_mapping(g, topo, serial.mapping);
-        EXPECT_EQ(serial.feasible, rescored.feasible) << app;
-        EXPECT_DOUBLE_EQ(serial.comm_cost, rescored.cost) << app;
-        const auto parallel =
-            nmap::map_with_single_path(g, topo, with_eval(nmap::SweepEval::LedgerFast, 4));
-        EXPECT_EQ(serial.mapping, parallel.mapping) << app;
     }
 }
 
@@ -490,12 +471,13 @@ TEST(IncrementalRouter, BandwidthAwareAnnealMatchesPlainWhenCapacityIsAmple) {
     // return the identical mapping.
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
     AnnealOptions options;
     options.seed = 17;
-    const AnnealOutcome plain = anneal(g, topo, initial, options);
+    const AnnealOutcome plain = anneal(g, ctx, initial, options);
     options.bandwidth_aware = true;
-    const AnnealOutcome aware = anneal(g, topo, initial, options);
+    const AnnealOutcome aware = anneal(g, ctx, initial, options);
     EXPECT_EQ(plain.best, aware.best);
     EXPECT_DOUBLE_EQ(plain.best_cost, aware.best_cost);
     EXPECT_TRUE(aware.best_feasible);
@@ -504,36 +486,21 @@ TEST(IncrementalRouter, BandwidthAwareAnnealMatchesPlainWhenCapacityIsAmple) {
 TEST(IncrementalRouter, BandwidthAwareAnnealStaysFeasibleUnderTightCapacity) {
     const auto g = apps::make_application("pip");
     auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
     topo.set_uniform_capacity(
-        noc::max_load(nmap::evaluate_mapping(g, topo, initial).loads) * 1.1);
+        noc::max_load(nmap::evaluate_mapping(g, ctx, initial).loads) * 1.1);
     AnnealOptions options;
     options.seed = 5;
     options.bandwidth_aware = true;
-    const AnnealOutcome a = anneal(g, topo, initial, options);
-    const AnnealOutcome b = anneal(g, topo, initial, options);
+    const AnnealOutcome a = anneal(g, ctx, initial, options);
+    const AnnealOutcome b = anneal(g, ctx, initial, options);
     EXPECT_EQ(a.best, b.best) << "bandwidth-aware walk must stay deterministic";
     // The initial mapping routes feasibly here and the walk refuses to
     // leave the feasible region (by the router's own accounting — fast
     // mode's feasible verdicts may be optimistic vs a full re-route, so
     // nothing stronger is guaranteed), so the best mapping is feasible.
     EXPECT_TRUE(a.best_feasible);
-}
-
-TEST(IncrementalRouter, SplitRoutingPrefilterMatchesPlainOnAmpleCapacity) {
-    // With ample capacity phase 1 certifies feasibility immediately on both
-    // paths (the router trivially, MCF1 with zero slack), so the prefilter
-    // must not change any sweep decision.
-    const auto g = apps::make_application("pip");
-    const auto topo = noc::Topology::mesh(4, 2, 1e9);
-    nmap::SplitOptions options;
-    options.approx_iterations = 8;
-    const auto plain = nmap::map_with_splitting(g, topo, options);
-    options.routing_prefilter = true;
-    const auto filtered = nmap::map_with_splitting(g, topo, options);
-    EXPECT_EQ(plain.mapping, filtered.mapping);
-    EXPECT_DOUBLE_EQ(plain.comm_cost, filtered.comm_cost);
-    EXPECT_EQ(plain.feasible, filtered.feasible);
 }
 
 } // namespace

@@ -43,11 +43,11 @@ TEST(ParamValue, TypedReadsAndCoercion) {
 TEST(Params, AssignmentParsePrintRoundTrip) {
     Params params;
     params.set_assignment("sweeps=3");
-    params.set_assignment("eval=ledger-fast");
+    params.set_assignment("mcf_engine=exact");
     params.set_assignment("cooling=0.9");
     params.set_assignment("bandwidth_aware=true");
     // print() is sorted and canonical; parse(print()) round-trips.
-    EXPECT_EQ(params.print(), "bandwidth_aware=true,cooling=0.9,eval=ledger-fast,sweeps=3");
+    EXPECT_EQ(params.print(), "bandwidth_aware=true,cooling=0.9,mcf_engine=exact,sweeps=3");
     EXPECT_EQ(Params::parse(params.print()), params);
     EXPECT_EQ(Params::parse(""), Params{});
     EXPECT_EQ(Params{}.print(), "");

@@ -12,43 +12,11 @@
 namespace nocmap::engine {
 namespace {
 
-nmap::SinglePathOptions with(nmap::SweepEval eval, std::size_t threads,
-                             std::size_t sweeps = 1) {
+nmap::SinglePathOptions with(std::size_t threads, std::size_t sweeps = 1) {
     nmap::SinglePathOptions opt;
-    opt.eval = eval;
     opt.threads = threads;
     opt.max_sweeps = sweeps;
     return opt;
-}
-
-/// The incremental sweep prunes with Eq.7 deltas and re-routes only
-/// acceptable candidates; it must return exactly the mapping of the naive
-/// (route-everything) sweep.
-TEST(SwapSweep, IncrementalMatchesNaiveOnApps) {
-    for (const char* app : {"vopd", "mpeg4", "pip", "dsd"}) {
-        const auto g = apps::make_application(app);
-        const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-        const auto naive =
-            nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Naive, 1));
-        const auto incremental =
-            nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 1));
-        EXPECT_EQ(naive.mapping, incremental.mapping) << app;
-        EXPECT_DOUBLE_EQ(naive.comm_cost, incremental.comm_cost) << app;
-    }
-}
-
-TEST(SwapSweep, IncrementalMatchesNaiveUnderTightCapacities) {
-    // Feasibility-constrained search exercises the infeasible-phase path
-    // (full evaluation, max-load tie-breaking).
-    const auto g = apps::make_application("pip");
-    auto topo = noc::Topology::mesh(4, 2, 1e9);
-    const auto unconstrained = nmap::map_with_single_path(g, topo);
-    topo.set_uniform_capacity(noc::max_load(unconstrained.loads) * 1.05);
-    const auto naive = nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Naive, 1));
-    const auto incremental =
-        nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 1));
-    EXPECT_EQ(naive.mapping, incremental.mapping);
-    EXPECT_EQ(naive.feasible, incremental.feasible);
 }
 
 /// The parallel sweep scores one row's candidates concurrently and reduces
@@ -57,11 +25,12 @@ TEST(SwapSweep, ParallelSweepMatchesSerialSweep) {
     for (const char* app : {"vopd", "mpeg4", "pip"}) {
         const auto g = apps::make_application(app);
         const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const auto ctx = noc::EvalContext::borrow(topo);
         const auto serial =
-            nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 1, 3));
+            nmap::map_with_single_path(g, ctx, with(1, 3));
         for (const std::size_t threads : {2u, 4u, 0u}) {
             const auto parallel = nmap::map_with_single_path(
-                g, topo, with(nmap::SweepEval::Incremental, threads, 3));
+                g, ctx, with(threads, 3));
             EXPECT_EQ(serial.mapping, parallel.mapping) << app << " threads=" << threads;
             EXPECT_DOUBLE_EQ(serial.comm_cost, parallel.comm_cost)
                 << app << " threads=" << threads;
@@ -75,10 +44,11 @@ TEST(SwapSweep, ParallelSweepMatchesSerialOnRandomGraph) {
     cfg.seed = 11;
     const auto g = generate_random_core_graph(cfg);
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto serial =
-        nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 1));
+        nmap::map_with_single_path(g, ctx, with(1));
     const auto parallel =
-        nmap::map_with_single_path(g, topo, with(nmap::SweepEval::Incremental, 4));
+        nmap::map_with_single_path(g, ctx, with(4));
     EXPECT_EQ(serial.mapping, parallel.mapping);
     EXPECT_DOUBLE_EQ(serial.comm_cost, parallel.comm_cost);
 }
@@ -105,10 +75,10 @@ TEST(SwapSweep, FirstImprovementAcceptanceStillImproves) {
     // Drive the generic driver directly with a trivial Eq.7 policy.
     class Eq7Policy final : public SweepPolicy {
     public:
-        Eq7Policy(const graph::CoreGraph& g, const noc::Topology& t) : g_(g), t_(t) {}
+        Eq7Policy(const graph::CoreGraph& g, const noc::EvalContext& ctx) : g_(g), ctx_(ctx) {}
         Score evaluate(const noc::Mapping& m) override {
             count_evaluation();
-            return {noc::communication_cost(t_, noc::build_commodities(g_, m)), 0.0, true};
+            return {noc::communication_cost(ctx_, noc::build_commodities(g_, m)), 0.0, true};
         }
         Score evaluate_swap(const noc::Mapping& base, const Score&, const Score&,
                             noc::TileId a, noc::TileId b) override {
@@ -120,13 +90,14 @@ TEST(SwapSweep, FirstImprovementAcceptanceStillImproves) {
 
     private:
         const graph::CoreGraph& g_;
-        const noc::Topology& t_;
+        const noc::EvalContext& ctx_;
     };
 
     for (const SweepCase& c : sweep_cases()) {
+        const auto ctx = noc::EvalContext::borrow(c.topo);
         const auto initial = nmap::initial_mapping(c.graph, c.topo);
         const double init_cost =
-            noc::communication_cost(c.topo, noc::build_commodities(c.graph, initial));
+            noc::communication_cost(ctx, noc::build_commodities(c.graph, initial));
         for (const Acceptance acceptance :
              {Acceptance::Greedy, Acceptance::FirstImprovement}) {
             // threads > 1 with FirstImprovement must serialize (scores
@@ -134,7 +105,7 @@ TEST(SwapSweep, FirstImprovementAcceptanceStillImproves) {
             // onto a re-based one), so the reported score must always
             // describe the returned mapping.
             for (const std::size_t threads : {1u, 4u}) {
-                Eq7Policy policy(c.graph, c.topo);
+                Eq7Policy policy(c.graph, ctx);
                 SweepOptions options;
                 options.acceptance = acceptance;
                 options.threads = threads;
@@ -144,7 +115,7 @@ TEST(SwapSweep, FirstImprovementAcceptanceStillImproves) {
                 EXPECT_LE(outcome.best_score.primary, init_cost + 1e-9);
                 EXPECT_DOUBLE_EQ(outcome.best_score.primary,
                                  noc::communication_cost(
-                                     c.topo, noc::build_commodities(c.graph, outcome.best)));
+                                     ctx, noc::build_commodities(c.graph, outcome.best)));
                 EXPECT_GT(policy.evaluations(), 10u);
             }
         }
@@ -179,16 +150,17 @@ TEST(SwapSweep, PolicyExceptionPropagatesFromParallelScoring) {
 TEST(SwapSweep, AnnealIsDeterministicForFixedSeed) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto initial = nmap::initial_mapping(g, topo);
     AnnealOptions options;
     options.seed = 17;
-    const AnnealOutcome a = anneal(g, topo, initial, options);
-    const AnnealOutcome b = anneal(g, topo, initial, options);
+    const AnnealOutcome a = anneal(g, ctx, initial, options);
+    const AnnealOutcome b = anneal(g, ctx, initial, options);
     EXPECT_EQ(a.best, b.best);
     EXPECT_DOUBLE_EQ(a.best_cost, b.best_cost);
     // The tracked best cost is a real Eq.7 cost of the returned mapping.
     EXPECT_NEAR(a.best_cost,
-                noc::communication_cost(topo, noc::build_commodities(g, a.best)), 1e-6);
+                noc::communication_cost(ctx, noc::build_commodities(g, a.best)), 1e-6);
 }
 
 } // namespace

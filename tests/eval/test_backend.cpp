@@ -60,7 +60,7 @@ TEST(EvalBackend, AnalyticReportsTheMapperResultUntouched) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(3, 3, 1e9);
     const auto ctx = noc::EvalContext::borrow(topo);
-    auto result = nmap::map_with_single_path(g, topo);
+    auto result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(result.feasible);
     const auto before = result.mapping;
     const double cost = result.comm_cost;
@@ -77,7 +77,7 @@ TEST(EvalBackend, SimulatedEvaluationIsDeterministic) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(3, 3, 1e9);
     const auto ctx = noc::EvalContext::borrow(topo);
-    auto result = nmap::map_with_single_path(g, topo);
+    auto result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(result.feasible);
 
     EvalSpec spec;
@@ -116,7 +116,7 @@ TEST(EvalBackend, RefineIsDeterministicAndKeepsFeasibility) {
     const auto g = apps::synthetic("synth:nodes=12,edges=20,seed=3");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
     const auto ctx = noc::EvalContext::borrow(topo);
-    const auto seed_result = nmap::map_with_single_path(g, topo);
+    const auto seed_result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(seed_result.feasible);
 
     EvalSpec spec;
@@ -141,7 +141,7 @@ TEST(EvalBackend, RefineHonoursTheCancellationHook) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(3, 3, 1e9);
     const auto ctx = noc::EvalContext::borrow(topo);
-    auto result = nmap::map_with_single_path(g, topo);
+    auto result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(result.feasible);
     const auto before = result.mapping;
 

@@ -20,11 +20,12 @@ namespace {
 TEST(CustomFabric, NmapOnRing) {
     const auto g = apps::make_application("pip"); // 8 cores
     const auto ring = noc::Topology::ring(8, 1e9);
-    const auto result = nmap::map_with_single_path(g, ring);
+    const auto ctx = noc::EvalContext::borrow(ring);
+    const auto result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(result.feasible);
     EXPECT_TRUE(result.mapping.is_complete());
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(ring, d);
+    const auto routed = nmap::route_single_min_paths(ctx, d);
     for (std::size_t k = 0; k < d.size(); ++k)
         EXPECT_TRUE(noc::is_minimal_route(ring, routed.routes[k], d[k].src_tile,
                                           d[k].dst_tile));
@@ -33,12 +34,14 @@ TEST(CustomFabric, NmapOnRing) {
 TEST(CustomFabric, NmapOnHypercube) {
     const auto g = apps::make_application("vopd"); // 16 cores on a 4-cube
     const auto cube = noc::Topology::hypercube(4, 1e9);
-    const auto result = nmap::map_with_single_path(g, cube);
+    const auto ctx = noc::EvalContext::borrow(cube);
+    const auto result = nmap::map_with_single_path(g, ctx);
     ASSERT_TRUE(result.feasible);
     // A 4-cube's diameter is 4 (vs 6 on the 4x4 mesh): the richer fabric
     // must not cost more than the mesh mapping.
     const auto mesh = noc::Topology::mesh(4, 4, 1e9);
-    const auto mesh_result = nmap::map_with_single_path(g, mesh);
+    const auto mesh_ctx = noc::EvalContext::borrow(mesh);
+    const auto mesh_result = nmap::map_with_single_path(g, mesh_ctx);
     EXPECT_LE(result.comm_cost, mesh_result.comm_cost + 1e-6);
 }
 
@@ -46,6 +49,7 @@ TEST(CustomFabric, SplitMcfOnRing) {
     // A ring's two directions are the classic split: a flow between
     // opposite tiles can use both arcs.
     const auto ring = noc::Topology::ring(6, 1.0);
+    const auto ctx = noc::EvalContext::borrow(ring);
     noc::Commodity c;
     c.id = 0;
     c.src_tile = 0;
@@ -53,7 +57,7 @@ TEST(CustomFabric, SplitMcfOnRing) {
     c.value = 100.0;
     lp::McfOptions opt;
     opt.objective = lp::McfObjective::MinMaxLoad;
-    const auto r = lp::solve_mcf(ring, {c}, opt);
+    const auto r = lp::solve_mcf(ctx, {c}, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_NEAR(r.objective, 50.0, 1e-4); // half each way
     EXPECT_NEAR(lp::max_conservation_violation(ring, {c}, r.flows), 0.0, 1e-6);
@@ -61,6 +65,7 @@ TEST(CustomFabric, SplitMcfOnRing) {
 
 TEST(CustomFabric, QuadrantRestrictedSplitOnHypercube) {
     const auto cube = noc::Topology::hypercube(3, 1.0);
+    const auto ctx = noc::EvalContext::borrow(cube);
     noc::Commodity c;
     c.id = 0;
     c.src_tile = 0b000;
@@ -69,7 +74,7 @@ TEST(CustomFabric, QuadrantRestrictedSplitOnHypercube) {
     lp::McfOptions opt;
     opt.objective = lp::McfObjective::MinMaxLoad;
     opt.quadrant_restricted = true;
-    const auto r = lp::solve_mcf(cube, {c}, opt);
+    const auto r = lp::solve_mcf(ctx, {c}, opt);
     ASSERT_TRUE(r.solved);
     // Two node-disjoint 2-hop paths (via 001 and 010): 45 each.
     EXPECT_NEAR(r.objective, 45.0, 1e-4);
@@ -81,21 +86,23 @@ TEST(CustomFabric, QuadrantRestrictedSplitOnHypercube) {
 TEST(CustomFabric, PbbOnRing) {
     const auto g = apps::make_application("dsp");
     const auto ring = noc::Topology::ring(6, 1e9);
+    const auto ctx = noc::EvalContext::borrow(ring);
     baselines::PbbOptions opt;
     opt.queue_capacity = 0; // exact (no mesh symmetry breaking applies)
     opt.max_expansions = 0;
-    const auto pbb = baselines::pbb_map(g, ring, opt);
-    const auto nm = nmap::map_with_single_path(g, ring);
+    const auto pbb = baselines::pbb_map(g, ctx, opt);
+    const auto nm = nmap::map_with_single_path(g, ctx);
     EXPECT_LE(pbb.comm_cost, nm.comm_cost + 1e-9); // exact <= heuristic
 }
 
 TEST(CustomFabric, SimulationOnRing) {
     const auto g = apps::make_application("dsp");
     auto ring = noc::Topology::ring(6, 1e9);
-    const auto result = nmap::map_with_single_path(g, ring);
+    const auto ctx = noc::EvalContext::borrow(ring);
+    const auto result = nmap::map_with_single_path(g, ctx);
     ring.set_uniform_capacity(noc::max_load(result.loads) * 2.0);
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(ring, d);
+    const auto routed = nmap::route_single_min_paths(ctx, d);
     const auto flows = sim::make_single_path_flows(ring, d, routed.routes);
 
     sim::SimConfig cfg;
@@ -115,7 +122,8 @@ TEST(CustomFabric, SimulationOnRing) {
 TEST(CustomFabric, MappingIoRoundtripOnRing) {
     const auto g = apps::make_application("dsp");
     const auto ring = noc::Topology::ring(6, 1e9);
-    const auto result = nmap::map_with_single_path(g, ring);
+    const auto ctx = noc::EvalContext::borrow(ring);
+    const auto result = nmap::map_with_single_path(g, ctx);
     const auto text = noc::mapping_to_string(g, ring, result.mapping);
     // Ring fabrics keep their builder variant in the header (plain
     // "custom" is still accepted on read — see tests/noc/test_mapping_io).

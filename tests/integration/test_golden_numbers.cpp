@@ -38,9 +38,10 @@ TEST_P(GoldenCosts, Figure3Values) {
     const auto& golden = GetParam();
     const auto g = apps::make_application(golden.app);
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    EXPECT_DOUBLE_EQ(nmap::map_with_single_path(g, topo).comm_cost, golden.nmap);
-    EXPECT_DOUBLE_EQ(baselines::gmap_map(g, topo).comm_cost, golden.gmap);
-    EXPECT_DOUBLE_EQ(baselines::pmap_map(g, topo).comm_cost, golden.pmap);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    EXPECT_DOUBLE_EQ(nmap::map_with_single_path(g, ctx).comm_cost, golden.nmap);
+    EXPECT_DOUBLE_EQ(baselines::gmap_map(g, ctx).comm_cost, golden.gmap);
+    EXPECT_DOUBLE_EQ(baselines::pmap_map(g, ctx).comm_cost, golden.pmap);
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, GoldenCosts,
@@ -54,18 +55,20 @@ INSTANTIATE_TEST_SUITE_P(Apps, GoldenCosts,
 TEST(GoldenNumbers, VopdSplitBandwidth) {
     const auto g = apps::make_application("vopd");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
-    const auto nm = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto nm = nmap::map_with_single_path(g, ctx);
     EXPECT_DOUBLE_EQ(noc::max_load(nm.loads), 500.0);
     const auto d = noc::build_commodities(g, nm.mapping);
     lp::McfOptions ta;
     ta.objective = lp::McfObjective::MinMaxLoad;
-    EXPECT_NEAR(lp::solve_mcf(topo, d, ta).objective, 308.667, 0.01);
+    EXPECT_NEAR(lp::solve_mcf(ctx, d, ta).objective, 308.667, 0.01);
 }
 
 TEST(GoldenNumbers, DspDesign) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto nm = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto nm = nmap::map_with_single_path(g, ctx);
     EXPECT_DOUBLE_EQ(nm.comm_cost, 2600.0);
     EXPECT_DOUBLE_EQ(noc::max_load(nm.loads), 600.0);
 }
@@ -80,8 +83,9 @@ TEST(GoldenNumbers, InitializeCosts) {
     for (const auto& e : expected) {
         const auto g = apps::make_application(e.app);
         const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+        const auto ctx = noc::EvalContext::borrow(topo);
         const auto mapping = nmap::initial_mapping(g, topo);
-        EXPECT_DOUBLE_EQ(noc::communication_cost(topo, noc::build_commodities(g, mapping)),
+        EXPECT_DOUBLE_EQ(noc::communication_cost(ctx, noc::build_commodities(g, mapping)),
                          e.cost)
             << e.app;
     }

@@ -24,9 +24,10 @@ class VideoAppSweep : public ::testing::TestWithParam<const char*> {};
 TEST_P(VideoAppSweep, NmapBeatsOrMatchesConstructiveBaselines) {
     const auto g = apps::make_application(GetParam());
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const double nmap_cost = nmap::map_with_single_path(g, topo).comm_cost;
-    const double pmap_cost = baselines::pmap_map(g, topo).comm_cost;
-    const double gmap_cost = baselines::gmap_map(g, topo).comm_cost;
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const double nmap_cost = nmap::map_with_single_path(g, ctx).comm_cost;
+    const double pmap_cost = baselines::pmap_map(g, ctx).comm_cost;
+    const double gmap_cost = baselines::gmap_map(g, ctx).comm_cost;
     EXPECT_LE(nmap_cost, gmap_cost + 1e-9);
     EXPECT_LE(nmap_cost, std::min(pmap_cost, gmap_cost) * 1.20);
 }
@@ -38,9 +39,10 @@ TEST(PaperProperties, NmapBeatsBaselinesInAggregate) {
     for (const auto& info : apps::video_applications()) {
         const auto g = info.factory();
         const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-        nmap_total += nmap::map_with_single_path(g, topo).comm_cost;
-        pmap_total += baselines::pmap_map(g, topo).comm_cost;
-        gmap_total += baselines::gmap_map(g, topo).comm_cost;
+        const auto ctx = noc::EvalContext::borrow(topo);
+        nmap_total += nmap::map_with_single_path(g, ctx).comm_cost;
+        pmap_total += baselines::pmap_map(g, ctx).comm_cost;
+        gmap_total += baselines::gmap_map(g, ctx).comm_cost;
     }
     EXPECT_LT(nmap_total, pmap_total);
     EXPECT_LT(nmap_total, gmap_total);
@@ -52,7 +54,8 @@ TEST(PaperProperties, NmapBeatsBaselinesInAggregate) {
 TEST_P(VideoAppSweep, BandwidthOrderingAcrossRoutingModes) {
     const auto g = apps::make_application(GetParam());
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, result.mapping);
 
     const double minpath_bw = noc::max_load(result.loads);
@@ -60,11 +63,11 @@ TEST_P(VideoAppSweep, BandwidthOrderingAcrossRoutingModes) {
     lp::McfOptions tm;
     tm.objective = lp::McfObjective::MinMaxLoad;
     tm.quadrant_restricted = true;
-    const double tm_bw = lp::solve_mcf(topo, d, tm).objective;
+    const double tm_bw = lp::solve_mcf(ctx, d, tm).objective;
 
     lp::McfOptions ta = tm;
     ta.quadrant_restricted = false;
-    const double ta_bw = lp::solve_mcf(topo, d, ta).objective;
+    const double ta_bw = lp::solve_mcf(ctx, d, ta).objective;
 
     EXPECT_LE(tm_bw, minpath_bw + 1e-6) << "TM must not need more BW than min-path";
     EXPECT_LE(ta_bw, tm_bw + 1e-6) << "TA must not need more BW than TM";
@@ -76,11 +79,12 @@ TEST_P(VideoAppSweep, BandwidthOrderingAcrossRoutingModes) {
 TEST_P(VideoAppSweep, SplittingStrictlyReducesBandwidth) {
     const auto g = apps::make_application(GetParam());
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, result.mapping);
     lp::McfOptions ta;
     ta.objective = lp::McfObjective::MinMaxLoad;
-    const double ta_bw = lp::solve_mcf(topo, d, ta).objective;
+    const double ta_bw = lp::solve_mcf(ctx, d, ta).objective;
     EXPECT_LT(ta_bw, noc::max_load(result.loads) * 0.999);
 }
 
@@ -96,11 +100,12 @@ TEST(PaperProperties, NmapCompetitiveWithCappedPbbOnRandomGraphs) {
     cfg.seed = 1;
     const auto g = generate_random_core_graph(cfg);
     const auto topo = noc::Topology::smallest_mesh_for(cfg.core_count, 1e9);
-    const auto nmap_result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto nmap_result = nmap::map_with_single_path(g, ctx);
     baselines::PbbOptions pbb_opt;
     pbb_opt.queue_capacity = 2000;
     pbb_opt.max_expansions = 20000;
-    const auto pbb_result = baselines::pbb_map(g, topo, pbb_opt);
+    const auto pbb_result = baselines::pbb_map(g, ctx, pbb_opt);
     EXPECT_LE(nmap_result.comm_cost, pbb_result.comm_cost * 1.05);
 }
 
@@ -110,11 +115,12 @@ TEST(PaperProperties, NmapCompetitiveWithCappedPbbOnRandomGraphs) {
 TEST(PaperProperties, SmallDesignsNearOptimal) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     baselines::PbbOptions exact;
     exact.queue_capacity = 0;
     exact.max_expansions = 0;
-    const auto optimum = baselines::pbb_map(g, topo, exact);
-    const auto heuristic = nmap::map_with_single_path(g, topo);
+    const auto optimum = baselines::pbb_map(g, ctx, exact);
+    const auto heuristic = nmap::map_with_single_path(g, ctx);
     EXPECT_LE(heuristic.comm_cost, optimum.comm_cost * 1.10);
 }
 
@@ -123,13 +129,14 @@ TEST(PaperProperties, SmallDesignsNearOptimal) {
 TEST(PaperProperties, DspMinBandwidthSingleVsSplit) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto single = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto single = nmap::map_with_single_path(g, ctx);
     EXPECT_NEAR(noc::max_load(single.loads), 600.0, 1e-6);
 
     const auto d = noc::build_commodities(g, single.mapping);
     lp::McfOptions ta;
     ta.objective = lp::McfObjective::MinMaxLoad;
-    const double split_bw = lp::solve_mcf(topo, d, ta).objective;
+    const double split_bw = lp::solve_mcf(ctx, d, ta).objective;
     EXPECT_LT(split_bw, 400.0);
     EXPECT_GE(split_bw, 200.0 - 1e-6);
 }
@@ -139,13 +146,14 @@ TEST(PaperProperties, DspMinBandwidthSingleVsSplit) {
 TEST(PaperProperties, QuadrantSplitKeepsHopCountUniform) {
     const auto g = apps::make_application("vopd");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     nmap::SplitOptions opt;
     opt.mode = nmap::SplitMode::MinPaths;
-    const auto result = nmap::map_with_splitting(g, topo, opt);
+    const auto result = nmap::map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     const auto d = noc::build_commodities(g, result.mapping);
     // Total flow equals Eq.7 cost exactly => all used paths are minimal.
-    EXPECT_NEAR(result.comm_cost, noc::communication_cost(topo, d),
+    EXPECT_NEAR(result.comm_cost, noc::communication_cost(ctx, d),
                 1e-6 * result.comm_cost + 1e-6);
 }
 

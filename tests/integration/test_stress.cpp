@@ -35,7 +35,8 @@ protected:
 TEST_P(PipelineStress, NmapInvariants) {
     const auto g = make_graph();
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
 
     // Structure.
     ASSERT_TRUE(result.mapping.is_complete());
@@ -51,21 +52,22 @@ TEST_P(PipelineStress, NmapInvariants) {
 
     // The reported cost matches an independent evaluation of the mapping.
     const auto d = noc::build_commodities(g, result.mapping);
-    EXPECT_NEAR(result.comm_cost, noc::communication_cost(topo, d), 1e-6);
+    EXPECT_NEAR(result.comm_cost, noc::communication_cost(ctx, d), 1e-6);
 
     // The routing behind the loads is minimal and conserves traffic: total
     // flow on links equals the Eq.7 cost.
     EXPECT_NEAR(noc::total_flow(result.loads), result.comm_cost, 1e-6);
 
     // Energy is consistent with cost (affine relation for fixed demand).
-    const double energy = noc::mapping_energy_mw(topo, d);
+    const double energy = noc::mapping_energy_mw(ctx, d);
     EXPECT_GT(energy, 0.0);
 }
 
 TEST_P(PipelineStress, SplitNeverNeedsMoreBandwidth) {
     const auto g = make_graph();
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto result = nmap::map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = nmap::map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, result.mapping);
 
     lp::McfOptions tm;
@@ -73,11 +75,11 @@ TEST_P(PipelineStress, SplitNeverNeedsMoreBandwidth) {
     tm.quadrant_restricted = true;
     tm.use_exact_lp = GetParam().cores <= 16; // keep big instances fast
     tm.approx_iterations = 96;
-    const auto tm_result = lp::solve_mcf(topo, d, tm);
+    const auto tm_result = lp::solve_mcf(ctx, d, tm);
 
     lp::McfOptions ta = tm;
     ta.quadrant_restricted = false;
-    const auto ta_result = lp::solve_mcf(topo, d, ta);
+    const auto ta_result = lp::solve_mcf(ctx, d, ta);
 
     const double single_bw = noc::max_load(result.loads);
     EXPECT_LE(tm_result.objective, single_bw * 1.001 + 1e-6);
@@ -93,8 +95,9 @@ TEST_P(PipelineStress, SplitNeverNeedsMoreBandwidth) {
 TEST_P(PipelineStress, BaselinesProduceValidMappings) {
     const auto g = make_graph();
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     for (const auto& result :
-         {baselines::pmap_map(g, topo), baselines::gmap_map(g, topo)}) {
+         {baselines::pmap_map(g, ctx), baselines::gmap_map(g, ctx)}) {
         EXPECT_TRUE(result.mapping.is_complete());
         EXPECT_NO_THROW(result.mapping.validate());
         EXPECT_GE(result.comm_cost, g.total_bandwidth() - 1e-6);
@@ -104,9 +107,10 @@ TEST_P(PipelineStress, BaselinesProduceValidMappings) {
 TEST_P(PipelineStress, QuadrantRouterStaysMinimal) {
     const auto g = make_graph();
     const auto topo = noc::Topology::smallest_mesh_for(g.node_count(), 1e9);
-    const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto mapping = nmap::map_with_single_path(g, ctx).mapping;
     const auto d = noc::build_commodities(g, mapping);
-    const auto routed = nmap::route_single_min_paths(topo, d);
+    const auto routed = nmap::route_single_min_paths(ctx, d);
     for (std::size_t k = 0; k < d.size(); ++k)
         EXPECT_TRUE(noc::is_minimal_route(topo, routed.routes[k], d[k].src_tile,
                                           d[k].dst_tile))
@@ -128,16 +132,17 @@ TEST_P(TorusStress, FullPipelineOnTorus) {
     cfg.seed = GetParam();
     const auto g = generate_random_core_graph(cfg);
     const auto torus = noc::Topology::torus(4, 4, 1e9);
-    const auto result = nmap::map_with_single_path(g, torus);
+    const auto torus_ctx = noc::EvalContext::borrow(torus);
+    const auto result = nmap::map_with_single_path(g, torus_ctx);
     ASSERT_TRUE(result.feasible);
     const auto d = noc::build_commodities(g, result.mapping);
-    const auto routed = nmap::route_single_min_paths(torus, d);
+    const auto routed = nmap::route_single_min_paths(torus_ctx, d);
     for (std::size_t k = 0; k < d.size(); ++k)
         EXPECT_TRUE(noc::is_minimal_route(torus, routed.routes[k], d[k].src_tile,
                                           d[k].dst_tile));
     // Torus distances never exceed mesh distances: the torus mapping cost is
     // at most the mesh cost for the same graph.
-    const auto mesh = noc::Topology::mesh(4, 4, 1e9);
+    const noc::EvalContext mesh(noc::Topology::mesh(4, 4, 1e9));
     const auto mesh_result = nmap::map_with_single_path(g, mesh);
     EXPECT_LE(result.comm_cost, mesh_result.comm_cost + 1e-6);
 }
@@ -147,6 +152,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TorusStress, ::testing::Values(11, 22, 33, 44));
 // Non-uniform link capacities: MCF must respect each link's own budget.
 TEST(HeterogeneousCapacity, McfRespectsPerLinkBudgets) {
     auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     // Choke one of the two minimal paths of the corner-to-corner commodity.
     const auto choked = topo.link_between(topo.tile_at(0, 0), topo.tile_at(1, 0)).value();
     topo.set_link_capacity(choked, 25.0);
@@ -159,7 +165,7 @@ TEST(HeterogeneousCapacity, McfRespectsPerLinkBudgets) {
 
     lp::McfOptions opt;
     opt.objective = lp::McfObjective::MinFlow;
-    const auto r = lp::solve_mcf(topo, {c}, opt);
+    const auto r = lp::solve_mcf(ctx, {c}, opt);
     ASSERT_TRUE(r.solved);
     ASSERT_TRUE(r.feasible);
     EXPECT_LE(r.loads[static_cast<std::size_t>(choked)], 25.0 + 1e-6);
@@ -168,6 +174,7 @@ TEST(HeterogeneousCapacity, McfRespectsPerLinkBudgets) {
 
 TEST(HeterogeneousCapacity, SinglePathRouterSeesTightLinks) {
     auto topo = noc::Topology::mesh(3, 1, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto middle = topo.link_between(1, 2).value();
     topo.set_link_capacity(middle, 10.0);
     noc::Commodity c;
@@ -175,7 +182,7 @@ TEST(HeterogeneousCapacity, SinglePathRouterSeesTightLinks) {
     c.src_tile = 0;
     c.dst_tile = 2;
     c.value = 50.0;
-    const auto routed = nmap::route_single_min_paths(topo, {c});
+    const auto routed = nmap::route_single_min_paths(ctx, {c});
     // Only one path exists and it violates the choked link.
     EXPECT_FALSE(routed.feasible);
 }

@@ -19,7 +19,8 @@ noc::Commodity make_commodity(std::int32_t id, noc::TileId src, noc::TileId dst,
 
 TEST(Mcf, EmptyCommoditySetTriviallyFeasible) {
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
-    const auto r = solve_mcf(topo, {}, {});
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto r = solve_mcf(ctx, {}, {});
     EXPECT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     EXPECT_DOUBLE_EQ(noc::max_load(r.loads), 0.0);
@@ -27,11 +28,12 @@ TEST(Mcf, EmptyCommoditySetTriviallyFeasible) {
 
 TEST(Mcf, MinFlowEqualsValueTimesDistance) {
     const auto topo = noc::Topology::mesh(3, 3, 1000.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const std::vector<noc::Commodity> d{
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(2, 1), 50.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     EXPECT_NEAR(r.objective, 50.0 * 3, 1e-6);
@@ -41,11 +43,12 @@ TEST(Mcf, MinFlowEqualsValueTimesDistance) {
 TEST(Mcf, MinFlowRespectsCapacities) {
     // 100 units across a 2x2 mesh with 60-capacity links: must split.
     const auto topo = noc::Topology::mesh(2, 2, 60.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const std::vector<noc::Commodity> d{
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, r.loads, 1e-6));
@@ -57,22 +60,24 @@ TEST(Mcf, MinFlowRespectsCapacities) {
 TEST(Mcf, MinFlowInfeasibleWhenCutTooSmall) {
     // 150 units out of a corner with two 60-capacity outgoing links.
     const auto topo = noc::Topology::mesh(2, 2, 60.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const std::vector<noc::Commodity> d{
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 150.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     EXPECT_FALSE(r.feasible);
 }
 
 TEST(Mcf, MinSlackZeroWhenAmple) {
     const auto topo = noc::Topology::mesh(3, 3, 1000.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const std::vector<noc::Commodity> d{
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(2, 2), 100.0),
         make_commodity(1, topo.tile_at(2, 0), topo.tile_at(0, 2), 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinSlack;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     EXPECT_NEAR(r.objective, 0.0, 1e-6);
@@ -83,11 +88,12 @@ TEST(Mcf, MinSlackMeasuresUnavoidableViolation) {
     // the source's outgoing cut overloads by 20, the destination's incoming
     // cut by another 20 (disjoint links), so the minimum total slack is 40.
     const auto topo = noc::Topology::mesh(2, 2, 40.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const std::vector<noc::Commodity> d{
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinSlack;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_FALSE(r.feasible);
     EXPECT_NEAR(r.objective, 40.0, 1e-4);
@@ -97,11 +103,12 @@ TEST(Mcf, MinMaxLoadSplitsAcrossDisjointPaths) {
     // One commodity corner-to-corner on 2x2: two link-disjoint minimal
     // paths -> optimal max load is value/2.
     const auto topo = noc::Topology::mesh(2, 2, 1.0); // capacities ignored
+    const auto ctx = noc::EvalContext::borrow(topo);
     const std::vector<noc::Commodity> d{
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinMaxLoad;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_NEAR(r.objective, 50.0, 1e-4);
     EXPECT_NEAR(noc::max_load(r.loads), 50.0, 1e-4);
@@ -109,11 +116,12 @@ TEST(Mcf, MinMaxLoadSplitsAcrossDisjointPaths) {
 
 TEST(Mcf, QuadrantRestrictionKeepsFlowInQuadrant) {
     const auto topo = noc::Topology::mesh(4, 4, 1.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto c = make_commodity(0, topo.tile_at(1, 1), topo.tile_at(2, 3), 80.0);
     McfOptions opt;
     opt.objective = McfObjective::MinMaxLoad;
     opt.quadrant_restricted = true;
-    const auto r = solve_mcf(topo, {c}, opt);
+    const auto r = solve_mcf(ctx, {c}, opt);
     ASSERT_TRUE(r.solved);
     for (std::size_t l = 0; l < topo.link_count(); ++l) {
         if (r.flows[0][l] <= 1e-9) continue;
@@ -127,21 +135,23 @@ TEST(Mcf, QuadrantRestrictionKeepsFlowInQuadrant) {
 
 TEST(Mcf, AllowedLinksHonorsQuadrantFlag) {
     const auto topo = noc::Topology::mesh(4, 4, 1.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto c = make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 10.0);
-    EXPECT_EQ(allowed_links(topo, c, false).size(), topo.link_count());
-    const auto restricted = allowed_links(topo, c, true);
+    EXPECT_EQ(allowed_links(ctx, c, false).size(), topo.link_count());
+    const auto restricted = allowed_links(ctx, c, true);
     EXPECT_EQ(restricted.size(), 8u); // 2x2 quadrant: 4 undirected = 8 directed links
 }
 
 TEST(Mcf, MultiCommodityCapacitySharing) {
     // Two commodities share a 3x1 chain: each link carries the sum.
     const auto topo = noc::Topology::mesh(3, 1, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const std::vector<noc::Commodity> d{
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(2, 0), 60.0),
         make_commodity(1, topo.tile_at(1, 0), topo.tile_at(2, 0), 40.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     const auto hot = topo.link_between(1, 2).value();
@@ -150,10 +160,11 @@ TEST(Mcf, MultiCommodityCapacitySharing) {
 
 TEST(Mcf, ConservationViolationDetectsCorruption) {
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const std::vector<noc::Commodity> d{
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 10.0)};
     McfOptions opt;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     auto corrupted = r.flows;
     corrupted[0][0] += 5.0;
     EXPECT_GT(max_conservation_violation(topo, d, corrupted), 1.0);
@@ -161,9 +172,10 @@ TEST(Mcf, ConservationViolationDetectsCorruption) {
 
 TEST(Mcf, DecomposeSinglePath) {
     const auto topo = noc::Topology::mesh(3, 1, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto c = make_commodity(0, topo.tile_at(0, 0), topo.tile_at(2, 0), 50.0);
     McfOptions opt;
-    const auto r = solve_mcf(topo, {c}, opt);
+    const auto r = solve_mcf(ctx, {c}, opt);
     const auto paths = decompose_into_paths(topo, c, r.flows[0]);
     ASSERT_EQ(paths.size(), 1u);
     EXPECT_NEAR(paths[0].second, 1.0, 1e-9);
@@ -172,10 +184,11 @@ TEST(Mcf, DecomposeSinglePath) {
 
 TEST(Mcf, DecomposeSplitFlows) {
     const auto topo = noc::Topology::mesh(2, 2, 1.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto c = make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0);
     McfOptions opt;
     opt.objective = McfObjective::MinMaxLoad;
-    const auto r = solve_mcf(topo, {c}, opt);
+    const auto r = solve_mcf(ctx, {c}, opt);
     const auto paths = decompose_into_paths(topo, c, r.flows[0]);
     ASSERT_EQ(paths.size(), 2u);
     double total = 0.0;

@@ -36,23 +36,25 @@ std::vector<noc::Commodity> random_commodities(const noc::Topology& topo, std::s
 
 TEST(McfApprox, ConservationHoldsExactly) {
     const auto topo = noc::Topology::mesh(4, 4, 1000.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     util::Rng rng(3);
     const auto d = random_commodities(topo, 8, rng);
     McfOptions opt;
     opt.use_exact_lp = false;
     opt.objective = McfObjective::MinMaxLoad;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_NEAR(max_conservation_violation(topo, d, r.flows), 0.0, 1e-6);
 }
 
 TEST(McfApprox, LoadsAreFlowSums) {
     const auto topo = noc::Topology::mesh(3, 3, 1000.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     util::Rng rng(4);
     const auto d = random_commodities(topo, 5, rng);
     McfOptions opt;
     opt.use_exact_lp = false;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     for (std::size_t l = 0; l < topo.link_count(); ++l) {
         double sum = 0.0;
         for (std::size_t k = 0; k < d.size(); ++k) sum += r.flows[k][l];
@@ -64,19 +66,20 @@ class ApproxVsExact : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ApproxVsExact, MinMaxLoadWithinTolerance) {
     const auto topo = noc::Topology::mesh(3, 3, 1.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     util::Rng rng(GetParam());
     const auto d = random_commodities(topo, 6, rng);
 
     McfOptions exact;
     exact.objective = McfObjective::MinMaxLoad;
     exact.use_exact_lp = true;
-    const auto re = solve_mcf(topo, d, exact);
+    const auto re = solve_mcf(ctx, d, exact);
     ASSERT_TRUE(re.solved);
 
     McfOptions approx = exact;
     approx.use_exact_lp = false;
     approx.approx_iterations = 128;
-    const auto ra = solve_mcf(topo, d, approx);
+    const auto ra = solve_mcf(ctx, d, approx);
     ASSERT_TRUE(ra.solved);
 
     // Approximation is an upper bound on the optimum, within ~15%.
@@ -86,18 +89,19 @@ TEST_P(ApproxVsExact, MinMaxLoadWithinTolerance) {
 
 TEST_P(ApproxVsExact, MinFlowWithinTolerance) {
     const auto topo = noc::Topology::mesh(3, 3, 10000.0); // ample capacity
+    const auto ctx = noc::EvalContext::borrow(topo);
     util::Rng rng(GetParam() + 1000);
     const auto d = random_commodities(topo, 6, rng);
 
     McfOptions exact;
     exact.objective = McfObjective::MinFlow;
-    const auto re = solve_mcf(topo, d, exact);
+    const auto re = solve_mcf(ctx, d, exact);
     ASSERT_TRUE(re.solved);
 
     McfOptions approx = exact;
     approx.use_exact_lp = false;
     approx.approx_iterations = 96;
-    const auto ra = solve_mcf(topo, d, approx);
+    const auto ra = solve_mcf(ctx, d, approx);
     ASSERT_TRUE(ra.solved);
     EXPECT_TRUE(ra.feasible);
 
@@ -109,12 +113,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ApproxVsExact, ::testing::Values(1, 2, 3, 4, 5, 
 
 TEST(McfApprox, QuadrantRestrictionRespected) {
     const auto topo = noc::Topology::mesh(4, 4, 1.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto c = make_commodity(0, topo.tile_at(0, 1), topo.tile_at(3, 2), 90.0);
     McfOptions opt;
     opt.use_exact_lp = false;
     opt.quadrant_restricted = true;
     opt.objective = McfObjective::MinMaxLoad;
-    const auto r = solve_mcf(topo, {c}, opt);
+    const auto r = solve_mcf(ctx, {c}, opt);
     for (std::size_t l = 0; l < topo.link_count(); ++l) {
         if (r.flows[0][l] <= 1e-9) continue;
         const noc::Link& link = topo.link(static_cast<noc::LinkId>(l));
@@ -125,16 +130,17 @@ TEST(McfApprox, QuadrantRestrictionRespected) {
 
 TEST(McfApprox, SlackModeDetectsFeasibility) {
     const auto topo = noc::Topology::mesh(2, 2, 60.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     McfOptions opt;
     opt.use_exact_lp = false;
     opt.objective = McfObjective::MinSlack;
     // Feasible when split: 100 over two 60-capacity paths.
     const auto ok = solve_mcf(
-        topo, {make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0)}, opt);
+        ctx, {make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 100.0)}, opt);
     EXPECT_TRUE(ok.feasible);
     // Infeasible: 150 over an 120-capacity cut.
     const auto bad = solve_mcf(
-        topo, {make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 150.0)}, opt);
+        ctx, {make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 1), 150.0)}, opt);
     EXPECT_FALSE(bad.feasible);
     EXPECT_GT(bad.objective, 10.0);
 }

@@ -28,11 +28,12 @@ TEST(McfExtra, TightCapacityForcesDetours) {
     // overflow must detour over >= 3-hop paths, so total flow exceeds
     // value * distance.
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto c =
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 0), 150.0);
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, {c}, opt);
+    const auto r = solve_mcf(ctx, {c}, opt);
     ASSERT_TRUE(r.solved);
     ASSERT_TRUE(r.feasible);
     // 100 direct (1 hop) + 50 detour (3 hops) = 250 total flow, minimum.
@@ -44,19 +45,20 @@ TEST(McfExtra, QuadrantRestrictionCanBeInfeasibleWhereAllPathsIsNot) {
     // Same situation, but quadrant-restricted: the quadrant of an adjacent
     // pair is just the direct link -> 150 cannot fit in 100.
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const auto c =
         make_commodity(0, topo.tile_at(0, 0), topo.tile_at(1, 0), 150.0);
     McfOptions tm;
     tm.objective = McfObjective::MinSlack;
     tm.quadrant_restricted = true;
-    const auto restricted = solve_mcf(topo, {c}, tm);
+    const auto restricted = solve_mcf(ctx, {c}, tm);
     ASSERT_TRUE(restricted.solved);
     EXPECT_FALSE(restricted.feasible);
     EXPECT_NEAR(restricted.objective, 50.0, 1e-4); // unavoidable slack
 
     McfOptions ta = tm;
     ta.quadrant_restricted = false;
-    EXPECT_TRUE(solve_mcf(topo, {c}, ta).feasible);
+    EXPECT_TRUE(solve_mcf(ctx, {c}, ta).feasible);
 }
 
 TEST(McfExtra, TorusQuadrantUsesWrapLinks) {
@@ -66,7 +68,7 @@ TEST(McfExtra, TorusQuadrantUsesWrapLinks) {
     McfOptions opt;
     opt.objective = McfObjective::MinMaxLoad;
     opt.quadrant_restricted = true;
-    const auto r = solve_mcf(torus, {c}, opt);
+    const auto r = solve_mcf(noc::EvalContext::borrow(torus), {c}, opt);
     ASSERT_TRUE(r.solved);
     // Only one minimal path (the single wrap link): all 60 on it.
     EXPECT_NEAR(r.objective, 60.0, 1e-4);
@@ -79,11 +81,12 @@ TEST(McfExtra, OppositeFlowsDoNotShareCapacity) {
     // Directed links: A->B and B->A traffic use different links, so both
     // can fill the full capacity.
     const auto topo = noc::Topology::mesh(2, 1, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     const std::vector<noc::Commodity> d{make_commodity(0, 0, 1, 100.0),
                                         make_commodity(1, 1, 0, 100.0)};
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
 }
@@ -92,27 +95,29 @@ TEST(McfExtra, ExactSolverHandlesVopdScale) {
     // Full VOPD on a 4x4 mesh: 21 commodities x 48 links (~1000 columns).
     const auto g = apps::make_application("vopd");
     const auto topo = noc::Topology::mesh(4, 4, 1e9);
-    const auto mapping = nmap::map_with_single_path(g, topo).mapping;
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto mapping = nmap::map_with_single_path(g, ctx).mapping;
     const auto d = noc::build_commodities(g, mapping);
     McfOptions opt;
     opt.objective = McfObjective::MinFlow;
-    const auto r = solve_mcf(topo, d, opt);
+    const auto r = solve_mcf(ctx, d, opt);
     ASSERT_TRUE(r.solved);
     EXPECT_TRUE(r.feasible);
     // Ample capacity: optimum is shortest-path flow = Eq.7 cost.
-    EXPECT_NEAR(r.objective, noc::communication_cost(topo, d), 1e-3);
+    EXPECT_NEAR(r.objective, noc::communication_cost(ctx, d), 1e-3);
     EXPECT_NEAR(max_conservation_violation(topo, d, r.flows), 0.0, 1e-5);
 }
 
 TEST(McfExtra, MinMaxScalesLinearlyWithDemand) {
     const auto topo = noc::Topology::mesh(3, 3, 1.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     McfOptions opt;
     opt.objective = McfObjective::MinMaxLoad;
     const auto c1 = make_commodity(0, 0, 8, 100.0);
     auto c2 = c1;
     c2.value = 300.0;
-    const double bw1 = solve_mcf(topo, {c1}, opt).objective;
-    const double bw3 = solve_mcf(topo, {c2}, opt).objective;
+    const double bw1 = solve_mcf(ctx, {c1}, opt).objective;
+    const double bw3 = solve_mcf(ctx, {c2}, opt).objective;
     EXPECT_NEAR(bw3, 3.0 * bw1, 1e-4);
 }
 

@@ -177,7 +177,7 @@ TEST(McfWarm, ApproxWarmPointerWithoutWarmStartIsBitIdentical) {
     for (int s = 0; s < 4; ++s) {
         const auto& commodities = s == 0 ? chain.commodities() : chain.step();
         const McfResult with_state = solve_mcf_approx(topo, commodities, opt, nullptr, &warm);
-        const McfResult plain = solve_mcf_approx(topo, commodities, opt);
+        const McfResult plain = solve_mcf_approx(topo, commodities, opt, nullptr, nullptr);
         EXPECT_EQ(with_state.objective, plain.objective);
         EXPECT_EQ(with_state.feasible, plain.feasible);
         EXPECT_EQ(with_state.flows, plain.flows);

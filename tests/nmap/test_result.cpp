@@ -1,4 +1,4 @@
-#include "nmap/result.hpp"
+#include "engine/mapping_result.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,8 @@ namespace {
 TEST(Result, DescribeFeasibleMapping) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto result = map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = map_with_single_path(g, ctx);
     const auto text = describe(result, g, topo);
     EXPECT_NE(text.find("feasible: yes"), std::string::npos);
     EXPECT_NE(text.find("comm cost: 2600"), std::string::npos);
@@ -27,23 +28,24 @@ TEST(Result, DescribeFeasibleMapping) {
 TEST(Result, DescribeInfeasibleMapping) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1.0); // 1 MB/s links
-    const auto result = map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = map_with_single_path(g, ctx);
     const auto text = describe(result, g, topo);
     EXPECT_NE(text.find("feasible: no"), std::string::npos);
     EXPECT_NE(text.find("maxvalue"), std::string::npos);
 }
 
 TEST(Result, MinBandwidthIsPeakLoad) {
-    MappingResult r;
+    engine::MappingResult r;
     r.loads = {10.0, 70.0, 30.0};
     EXPECT_DOUBLE_EQ(r.min_bandwidth(), 70.0);
-    MappingResult empty;
+    engine::MappingResult empty;
     EXPECT_DOUBLE_EQ(empty.min_bandwidth(), 0.0);
 }
 
 TEST(Result, MaxValueIsInfinite) {
-    EXPECT_TRUE(std::isinf(kMaxValue));
-    EXPECT_GT(kMaxValue, 1e300);
+    EXPECT_TRUE(std::isinf(engine::kMaxValue));
+    EXPECT_GT(engine::kMaxValue, 1e300);
 }
 
 } // namespace

@@ -34,7 +34,7 @@ lp::McfOptions mcf_options(const SplitOptions& options, lp::McfObjective objecti
 /// Reference oracle: the unpruned two-phase split loop. Every candidate
 /// gets its LP solve (MCF1 slack until the bandwidth constraints hold,
 /// MCF2 flow after), scored exactly like map_with_splitting's policy.
-/// Cold one-shot engines only; no routing prefilter.
+/// Cold one-shot engines only.
 class ReferenceSplitPolicy final : public engine::SweepPolicy {
 public:
     ReferenceSplitPolicy(const graph::CoreGraph& graph, const noc::EvalContext& ctx,
@@ -80,7 +80,7 @@ private:
 };
 
 struct ReferenceRun {
-    MappingResult result;
+    engine::MappingResult result;
     std::size_t sweep_evaluations = 0;
     bool slack_feasible = false; ///< final polish verdicts, both always solved
     bool flow_feasible = false;
@@ -107,11 +107,11 @@ ReferenceRun reference_split(const graph::CoreGraph& graph, const noc::EvalConte
     run.slack_feasible = slack.feasible;
     run.flow_feasible = cost.feasible;
 
-    MappingResult& r = run.result;
+    engine::MappingResult& r = run.result;
     r.mapping = outcome.best;
     r.evaluations = run.sweep_evaluations + (slack.feasible ? 2 : 1);
     r.feasible = slack.feasible && cost.feasible;
-    r.comm_cost = r.feasible ? cost.objective : kMaxValue;
+    r.comm_cost = r.feasible ? cost.objective : engine::kMaxValue;
     r.loads = r.feasible ? cost.loads : slack.loads;
     r.flows = r.feasible ? cost.flows : slack.flows;
     return run;
@@ -149,7 +149,7 @@ std::size_t expect_matches_reference(const SplitCase& c) {
     const util::LogLevel level = util::log_level();
     util::set_log_level(util::LogLevel::Debug);
     testing::internal::CaptureStderr();
-    const MappingResult got = map_with_splitting(g, ctx, opt);
+    const engine::MappingResult got = map_with_splitting(g, ctx, opt);
     const std::string log = testing::internal::GetCapturedStderr();
     util::set_log_level(level);
 
@@ -187,23 +187,25 @@ TEST(Split, FeasibleWhereSinglePathIsNot) {
     g.add_node("b");
     g.add_edge("a", "b", 150.0);
     auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
 
-    const auto single = map_with_single_path(g, topo);
+    const auto single = map_with_single_path(g, ctx);
     EXPECT_FALSE(single.feasible);
 
     SplitOptions opt;
     opt.mode = SplitMode::AllPaths;
-    const auto split = map_with_splitting(g, topo, opt);
+    const auto split = map_with_splitting(g, ctx, opt);
     EXPECT_TRUE(split.feasible);
-    EXPECT_LT(split.comm_cost, kMaxValue);
+    EXPECT_LT(split.comm_cost, engine::kMaxValue);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, split.loads, 1e-4));
 }
 
 TEST(Split, FlowsConserveAndMatchLoads) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     const auto d = noc::build_commodities(g, result.mapping);
     EXPECT_NEAR(lp::max_conservation_violation(topo, d, result.flows), 0.0, 1e-5);
@@ -218,20 +220,22 @@ TEST(Split, CostLowerBoundedByMappingCost) {
     // MCF2 total flow >= Σ value * distance (each unit travels >= distance).
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
-    const auto result = map_with_splitting(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = map_with_splitting(g, ctx);
     ASSERT_TRUE(result.feasible);
     const auto d = noc::build_commodities(g, result.mapping);
-    EXPECT_GE(result.comm_cost, noc::communication_cost(topo, d) - 1e-4);
+    EXPECT_GE(result.comm_cost, noc::communication_cost(ctx, d) - 1e-4);
     // With ample capacity, shortest paths are optimal: equality.
-    EXPECT_NEAR(result.comm_cost, noc::communication_cost(topo, d), 1e-2);
+    EXPECT_NEAR(result.comm_cost, noc::communication_cost(ctx, d), 1e-2);
 }
 
 TEST(Split, MinPathsModeStaysInQuadrants) {
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.mode = SplitMode::MinPaths;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     const auto d = noc::build_commodities(g, result.mapping);
     for (std::size_t k = 0; k < d.size(); ++k)
@@ -242,7 +246,7 @@ TEST(Split, MinPathsModeStaysInQuadrants) {
             EXPECT_TRUE(topo.in_quadrant(link.dst, d[k].src_tile, d[k].dst_tile));
         }
     // Quadrant flows are minimal: total flow equals the Eq.7 cost exactly.
-    EXPECT_NEAR(result.comm_cost, noc::communication_cost(topo, d), 1e-2);
+    EXPECT_NEAR(result.comm_cost, noc::communication_cost(ctx, d), 1e-2);
 }
 
 TEST(Split, SplitNeedsNoMoreBandwidthThanSinglePath) {
@@ -250,12 +254,13 @@ TEST(Split, SplitNeedsNoMoreBandwidthThanSinglePath) {
     // single-path peak load.
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto single = map_with_single_path(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto single = map_with_single_path(g, ctx);
     const auto d = noc::build_commodities(g, single.mapping);
 
     lp::McfOptions mcf;
     mcf.objective = lp::McfObjective::MinMaxLoad;
-    const auto split = lp::solve_mcf(topo, d, mcf);
+    const auto split = lp::solve_mcf(ctx, d, mcf);
     ASSERT_TRUE(split.solved);
     EXPECT_LE(split.objective, noc::max_load(single.loads) + 1e-6);
 }
@@ -268,9 +273,10 @@ TEST(Split, ExactInnerLpOnTinyInstance) {
     g.add_edge("a", "b", 120.0);
     g.add_edge("b", "c", 40.0);
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.exact_inner_lp = true;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     EXPECT_TRUE(result.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, result.loads, 1e-4));
 }
@@ -278,8 +284,9 @@ TEST(Split, ExactInnerLpOnTinyInstance) {
 TEST(Split, Deterministic) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto a = map_with_splitting(g, topo);
-    const auto b = map_with_splitting(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto a = map_with_splitting(g, ctx);
+    const auto b = map_with_splitting(g, ctx);
     EXPECT_EQ(a.mapping, b.mapping);
     EXPECT_NEAR(a.comm_cost, b.comm_cost, 1e-9);
 }
@@ -290,25 +297,27 @@ TEST(Split, BandwidthModeNeverWorseThanRemappingCostOptimal) {
     // (initialize()) re-routed with splitting.
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.optimize_bandwidth = true;
-    const auto optimized = map_with_splitting(g, topo, opt);
+    const auto optimized = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(optimized.feasible);
 
     const auto init = initial_mapping(g, topo);
     lp::McfOptions minmax;
     minmax.objective = lp::McfObjective::MinMaxLoad;
-    const auto rerouted = lp::solve_mcf(topo, noc::build_commodities(g, init), minmax);
+    const auto rerouted = lp::solve_mcf(ctx, noc::build_commodities(g, init), minmax);
     EXPECT_LE(noc::max_load(optimized.loads), rerouted.objective + 1e-6);
 }
 
 TEST(Split, BandwidthModeQuadrantFlowsStayMinimal) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.optimize_bandwidth = true;
     opt.mode = SplitMode::MinPaths;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     const auto d = noc::build_commodities(g, result.mapping);
     for (std::size_t k = 0; k < d.size(); ++k)
@@ -323,31 +332,15 @@ TEST(Split, BandwidthModeQuadrantFlowsStayMinimal) {
 TEST(Split, BandwidthModeReportsMcf2Cost) {
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.optimize_bandwidth = true;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     ASSERT_TRUE(result.feasible);
     // comm_cost is the MCF2 flow of the final mapping: bounded below by the
     // Eq.7 mapping cost.
     const auto d = noc::build_commodities(g, result.mapping);
-    EXPECT_GE(result.comm_cost, noc::communication_cost(topo, d) - 1e-6);
-}
-
-TEST(Split, ContextOverloadBitIdenticalToTopologyOverload) {
-    const auto g = apps::make_application("dsp");
-    const auto topo = noc::Topology::mesh(3, 2, 1e9);
-    const auto ctx = noc::EvalContext::borrow(topo);
-    for (const SplitMode mode : {SplitMode::AllPaths, SplitMode::MinPaths}) {
-        SplitOptions opt;
-        opt.mode = mode;
-        const auto via_topo = map_with_splitting(g, topo, opt);
-        const auto via_ctx = map_with_splitting(g, ctx, opt);
-        EXPECT_EQ(via_topo.mapping, via_ctx.mapping);
-        EXPECT_EQ(via_topo.feasible, via_ctx.feasible);
-        EXPECT_EQ(via_topo.comm_cost, via_ctx.comm_cost);
-        EXPECT_EQ(via_topo.loads, via_ctx.loads);
-        EXPECT_EQ(via_topo.evaluations, via_ctx.evaluations);
-    }
+    EXPECT_GE(result.comm_cost, noc::communication_cost(ctx, d) - 1e-6);
 }
 
 TEST(Split, WarmStartMatchesColdVerdictAndCost) {
@@ -356,13 +349,14 @@ TEST(Split, WarmStartMatchesColdVerdictAndCost) {
     // run on these ample-capacity instances (shortest-path optimum).
     const auto g = apps::make_application("pip");
     const auto topo = noc::Topology::mesh(4, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     for (const auto engine : {McfEngine::Approx, McfEngine::Exact}) {
         SplitOptions cold_opt;
         cold_opt.mcf_engine = engine;
         SplitOptions warm_opt = cold_opt;
         warm_opt.warm_start = true;
-        const auto cold = map_with_splitting(g, topo, cold_opt);
-        const auto warm = map_with_splitting(g, topo, warm_opt);
+        const auto cold = map_with_splitting(g, ctx, cold_opt);
+        const auto warm = map_with_splitting(g, ctx, warm_opt);
         EXPECT_EQ(warm.feasible, cold.feasible);
         ASSERT_TRUE(warm.feasible);
         EXPECT_NEAR(warm.comm_cost, cold.comm_cost,
@@ -378,10 +372,11 @@ TEST(Split, WarmStartExactOnConstrainedInstance) {
     g.add_node("b");
     g.add_edge("a", "b", 150.0);
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions opt;
     opt.mcf_engine = McfEngine::Exact;
     opt.warm_start = true;
-    const auto result = map_with_splitting(g, topo, opt);
+    const auto result = map_with_splitting(g, ctx, opt);
     EXPECT_TRUE(result.feasible);
     EXPECT_TRUE(noc::satisfies_bandwidth(topo, result.loads, 1e-4));
 }
@@ -391,18 +386,19 @@ TEST(Split, McfEngineOverridesLegacyKnob) {
     // both runs stay feasible on an ample mesh and agree after polish.
     const auto g = apps::make_application("dsp");
     const auto topo = noc::Topology::mesh(3, 2, 1e9);
+    const auto ctx = noc::EvalContext::borrow(topo);
     SplitOptions a;
     a.exact_inner_lp = true;
     a.mcf_engine = McfEngine::Approx;
     SplitOptions b;
     b.exact_inner_lp = false;
     b.mcf_engine = McfEngine::Exact;
-    const auto ra = map_with_splitting(g, topo, a);
-    const auto rb = map_with_splitting(g, topo, b);
+    const auto ra = map_with_splitting(g, ctx, a);
+    const auto rb = map_with_splitting(g, ctx, b);
     EXPECT_TRUE(ra.feasible);
     EXPECT_TRUE(rb.feasible);
     // The Approx-engine run equals the pure-default (approx) run.
-    const auto default_run = map_with_splitting(g, topo);
+    const auto default_run = map_with_splitting(g, ctx);
     EXPECT_EQ(ra.mapping, default_run.mapping);
     EXPECT_EQ(ra.comm_cost, default_run.comm_cost);
 }
@@ -414,18 +410,18 @@ TEST(Split, ReportsInfeasibleWhenTrulyImpossible) {
     g.add_node("b");
     g.add_edge("a", "b", 500.0);
     const auto topo = noc::Topology::mesh(2, 2, 100.0); // corner cut = 200
-    const auto result = map_with_splitting(g, topo);
+    const auto ctx = noc::EvalContext::borrow(topo);
+    const auto result = map_with_splitting(g, ctx);
     EXPECT_FALSE(result.feasible);
-    EXPECT_EQ(result.comm_cost, kMaxValue);
+    EXPECT_EQ(result.comm_cost, engine::kMaxValue);
 
     // MinFlow is infeasible, so the polish falls through to MinSlack and
     // reports its least-violating loads and flows.
     const SplitOptions defaults;
-    const auto slack = lp::solve_mcf(topo, noc::build_commodities(g, result.mapping),
+    const auto slack = lp::solve_mcf(ctx, noc::build_commodities(g, result.mapping),
                                      mcf_options(defaults, lp::McfObjective::MinSlack, true));
     EXPECT_TRUE(result.loads == slack.loads);
     EXPECT_TRUE(result.flows == slack.flows);
-    const auto ctx = noc::EvalContext::borrow(topo);
     EXPECT_EQ(result.evaluations, reference_split(g, ctx, defaults).sweep_evaluations + 2);
 }
 

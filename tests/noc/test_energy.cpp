@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "noc/eval_context.hpp"
+
 namespace nocmap::noc {
 namespace {
 
@@ -24,29 +26,27 @@ TEST(Energy, BitEnergyFormula) {
 }
 
 TEST(Energy, MappingEnergyScalesWithDistanceAndValue) {
-    const auto topo = Topology::mesh(4, 1, 1e9);
-    EnergyModel m;
-    const double near_energy =
-        mapping_energy_mw(topo, {make_commodity(0, 1, 100.0)}, m);
-    const double far_energy = mapping_energy_mw(topo, {make_commodity(0, 3, 100.0)}, m);
-    const double heavy_energy =
-        mapping_energy_mw(topo, {make_commodity(0, 1, 200.0)}, m);
+    const EvalContext ctx(Topology::mesh(4, 1, 1e9));
+    const double near_energy = mapping_energy_mw(ctx, {make_commodity(0, 1, 100.0)});
+    const double far_energy = mapping_energy_mw(ctx, {make_commodity(0, 3, 100.0)});
+    const double heavy_energy = mapping_energy_mw(ctx, {make_commodity(0, 1, 200.0)});
     EXPECT_GT(far_energy, near_energy);
     EXPECT_NEAR(heavy_energy, 2.0 * near_energy, 1e-9);
 }
 
 TEST(Energy, KnownValue) {
     // 100 MB/s over 1 hop: (2*0.284 + 0.449) pJ/bit * 8e8 bit/s = 0.8136 mW.
-    const auto topo = Topology::mesh(2, 1, 1e9);
-    const double e = mapping_energy_mw(topo, {make_commodity(0, 1, 100.0)});
+    const EvalContext ctx(Topology::mesh(2, 1, 1e9));
+    const double e = mapping_energy_mw(ctx, {make_commodity(0, 1, 100.0)});
     EXPECT_NEAR(e, (2 * 0.284 + 0.449) * 100.0 * 8e6 * 1e-12 * 1e3, 1e-9);
 }
 
 TEST(Energy, RoutedEnergyMatchesMappingForMinimalRoutes) {
     const auto topo = Topology::mesh(3, 3, 1e9);
+    const auto ctx = EvalContext::borrow(topo);
     const auto c = make_commodity(0, 8, 150.0);
     const auto route = xy_route(topo, c.src_tile, c.dst_tile);
-    EXPECT_NEAR(routed_energy_mw({c}, {route}), mapping_energy_mw(topo, {c}), 1e-9);
+    EXPECT_NEAR(routed_energy_mw({c}, {route}), mapping_energy_mw(ctx, {c}), 1e-9);
 }
 
 TEST(Energy, NonMinimalRouteCostsMore) {

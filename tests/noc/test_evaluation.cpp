@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include "noc/eval_context.hpp"
+
 namespace nocmap::noc {
 namespace {
 
 struct Fixture {
     Topology topo = Topology::mesh(3, 3, 100.0);
+    EvalContext ctx = EvalContext::borrow(topo);
     graph::CoreGraph graph;
     Mapping mapping{2, 9};
     std::vector<Commodity> commodities;
@@ -86,20 +89,20 @@ TEST(Evaluation, SizeMismatchThrows) {
 TEST(Evaluation, CommunicationCostIsEquation7) {
     Fixture f;
     // 60 MB/s over distance 2.
-    EXPECT_DOUBLE_EQ(communication_cost(f.topo, f.commodities), 120.0);
+    EXPECT_DOUBLE_EQ(communication_cost(f.ctx, f.commodities), 120.0);
 }
 
 TEST(Evaluation, TotalFlowEqualsCostForMinimalSinglePath) {
     Fixture f;
     const auto route = xy_route(f.topo, f.commodities[0].src_tile, f.commodities[0].dst_tile);
     const auto loads = accumulate_loads(f.topo, f.commodities, {route});
-    EXPECT_DOUBLE_EQ(total_flow(loads), communication_cost(f.topo, f.commodities));
+    EXPECT_DOUBLE_EQ(total_flow(loads), communication_cost(f.ctx, f.commodities));
 }
 
 TEST(Evaluation, AverageWeightedHops) {
     Fixture f;
-    EXPECT_DOUBLE_EQ(average_weighted_hops(f.topo, f.commodities), 2.0);
-    EXPECT_DOUBLE_EQ(average_weighted_hops(f.topo, {}), 0.0);
+    EXPECT_DOUBLE_EQ(average_weighted_hops(f.ctx, f.commodities), 2.0);
+    EXPECT_DOUBLE_EQ(average_weighted_hops(f.ctx, {}), 0.0);
 }
 
 TEST(Evaluation, MinUniformBandwidthIsPeakLoad) {

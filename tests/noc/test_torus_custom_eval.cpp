@@ -12,6 +12,7 @@
 #include "nmap/initialize.hpp"
 #include "nmap/shortest_path_router.hpp"
 #include "noc/commodity.hpp"
+#include "noc/eval_context.hpp"
 #include "noc/evaluation.hpp"
 #include "noc/routing.hpp"
 #include "noc/topology.hpp"
@@ -37,12 +38,13 @@ TEST(TorusEval, WrapAroundHopCounts) {
 
 TEST(TorusEval, RoutingUsesWrapLinks) {
     const auto t = Topology::torus(5, 3, 1e9);
+    const auto ctx = EvalContext::borrow(t);
     std::vector<Commodity> commodities(1);
     commodities[0].id = 0;
     commodities[0].src_tile = t.tile_at(0, 0);
     commodities[0].dst_tile = t.tile_at(4, 0);
     commodities[0].value = 100.0;
-    const auto routed = nmap::route_single_min_paths(t, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     ASSERT_TRUE(routed.feasible);
     // The minimal route crosses the wrap link, one hop.
     EXPECT_EQ(routed.routes[0].size(), 1u);
@@ -54,22 +56,25 @@ TEST(TorusEval, RoutingUsesWrapLinks) {
 TEST(TorusEval, MappedApplicationRoutesAreMinimalAndConsistent) {
     const auto graph = apps::make_application("vopd");
     const auto t = Topology::torus(4, 4, 1e9);
-    const auto result = engine::map_by_name("nmap", graph, t);
+    const auto ctx = EvalContext::borrow(t);
+    const auto result = engine::map_by_name("nmap", graph, ctx);
     ASSERT_TRUE(result.feasible);
     const auto commodities = build_commodities(graph, result.mapping);
-    const auto routed = nmap::route_single_min_paths(t, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     for (std::size_t k = 0; k < commodities.size(); ++k)
         EXPECT_TRUE(is_minimal_route(t, routed.routes[k], commodities[k].src_tile,
                                      commodities[k].dst_tile));
     // Eq.7 equals the summed hop·value of the minimal routes.
-    EXPECT_DOUBLE_EQ(result.comm_cost, communication_cost(t, commodities));
-    EXPECT_DOUBLE_EQ(total_flow(routed.loads), communication_cost(t, commodities));
+    EXPECT_DOUBLE_EQ(result.comm_cost, communication_cost(ctx, commodities));
+    EXPECT_DOUBLE_EQ(total_flow(routed.loads), communication_cost(ctx, commodities));
 }
 
 TEST(TorusEval, WrapReducesCostVersusMesh) {
     const auto graph = apps::make_application("vopd");
-    const auto mesh = engine::map_by_name("nmap", graph, Topology::mesh(4, 4, 1e9));
-    const auto torus = engine::map_by_name("nmap", graph, Topology::torus(4, 4, 1e9));
+    const auto mesh =
+        engine::map_by_name("nmap", graph, EvalContext(Topology::mesh(4, 4, 1e9)));
+    const auto torus =
+        engine::map_by_name("nmap", graph, EvalContext(Topology::torus(4, 4, 1e9)));
     ASSERT_TRUE(mesh.feasible);
     ASSERT_TRUE(torus.feasible);
     // Wrap links can only shorten minimal distances.
@@ -79,15 +84,16 @@ TEST(TorusEval, WrapReducesCostVersusMesh) {
 TEST(CustomEval, RingEndToEndEvaluation) {
     const auto graph = apps::make_application("dsp");
     const auto ring = Topology::ring(graph.node_count(), 1e9);
-    const auto result = engine::map_by_name("nmap", graph, ring);
+    const auto ctx = EvalContext::borrow(ring);
+    const auto result = engine::map_by_name("nmap", graph, ctx);
     ASSERT_TRUE(result.feasible);
     const auto commodities = build_commodities(graph, result.mapping);
-    const auto routed = nmap::route_single_min_paths(ring, commodities);
+    const auto routed = nmap::route_single_min_paths(ctx, commodities);
     ASSERT_TRUE(routed.feasible);
     for (std::size_t k = 0; k < commodities.size(); ++k)
         EXPECT_TRUE(is_minimal_route(ring, routed.routes[k], commodities[k].src_tile,
                                      commodities[k].dst_tile));
-    EXPECT_DOUBLE_EQ(routed.cost, communication_cost(ring, commodities));
+    EXPECT_DOUBLE_EQ(routed.cost, communication_cost(ctx, commodities));
     EXPECT_TRUE(satisfies_bandwidth(ring, routed.loads));
     EXPECT_DOUBLE_EQ(total_violation(ring, routed.loads), 0.0);
 }
@@ -95,7 +101,8 @@ TEST(CustomEval, RingEndToEndEvaluation) {
 TEST(CustomEval, HypercubeEndToEndEvaluation) {
     const auto graph = apps::make_application("vopd");
     const auto cube = Topology::hypercube(4, 1e9);
-    const auto result = engine::map_by_name("nmap", graph, cube);
+    const auto ctx = EvalContext::borrow(cube);
+    const auto result = engine::map_by_name("nmap", graph, ctx);
     ASSERT_TRUE(result.feasible);
     const auto commodities = build_commodities(graph, result.mapping);
     // Hypercube distance is the Hamming distance of the tile ids.
@@ -105,19 +112,20 @@ TEST(CustomEval, HypercubeEndToEndEvaluation) {
         EXPECT_EQ(cube.distance(c.src_tile, c.dst_tile),
                   static_cast<std::int32_t>(std::popcount(xor_bits)));
     }
-    EXPECT_DOUBLE_EQ(result.comm_cost, communication_cost(cube, commodities));
+    EXPECT_DOUBLE_EQ(result.comm_cost, communication_cost(ctx, commodities));
 }
 
 TEST(CustomEval, IncrementalDeltaMatchesFullRecomputeOnRing) {
     const auto graph = apps::make_application("dsp");
     const auto ring = Topology::ring(graph.node_count() + 2, 1e9);
+    const auto ctx = EvalContext::borrow(ring);
     const auto mapping = nmap::initial_mapping(graph, ring);
-    engine::IncrementalEvaluator eval(graph, ring, mapping);
+    engine::IncrementalEvaluator eval(graph, ctx, mapping);
     for (TileId a = 0; a < static_cast<TileId>(ring.tile_count()); ++a)
         for (TileId b = a + 1; b < static_cast<TileId>(ring.tile_count()); ++b) {
             Mapping swapped = mapping;
             swapped.swap_tiles(a, b);
-            const double full = communication_cost(ring, build_commodities(graph, swapped));
+            const double full = communication_cost(ctx, build_commodities(graph, swapped));
             EXPECT_NEAR(eval.cost() + eval.swap_delta(a, b), full, 1e-9 * (1.0 + full));
         }
 }
@@ -129,7 +137,8 @@ TEST(CustomEval, CapacityViolationDetectedOnRing) {
     const auto b = g.add_node("b");
     g.add_edge(a, b, 500.0);
     const auto ring = Topology::ring(3, 100.0);
-    const auto result = engine::map_by_name("nmap", g, ring);
+    const auto ctx = EvalContext::borrow(ring);
+    const auto result = engine::map_by_name("nmap", g, ctx);
     EXPECT_FALSE(result.feasible);
     EXPECT_EQ(result.comm_cost, engine::kMaxValue);
 }

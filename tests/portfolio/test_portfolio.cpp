@@ -171,7 +171,8 @@ TEST(PortfolioRunner, ParamCarryingScenariosAreDeterministicAcrossThreadCounts) 
     engine::MapRequest request;
     request.graph = scenario.graph.get();
     const auto topo = scenario.topology.build(scenario.graph->node_count());
-    request.topology = &topo;
+    const auto ctx = noc::EvalContext::borrow(topo);
+    request.context = &ctx;
     request.params = params;
     engine::MapOutcome direct = engine::run_by_name("sa", request);
     ASSERT_TRUE(direct.ok());
@@ -190,7 +191,7 @@ TEST(PortfolioRunner, ParamErrorsAreStructuredPerScenario) {
         EXPECT_NE(r.error.find("no_such_knob"), std::string::npos);
     }
     // The structured code lands in the JSON document (failed rows only).
-    const auto json = to_json(results, PortfolioRunner::rank_topologies(results), nullptr);
+    const auto json = to_json(results, PortfolioRunner::rank_topologies(results));
     EXPECT_NE(json.find("\"error_code\": \"unknown-param\""), std::string::npos);
 }
 
@@ -210,7 +211,7 @@ TEST(PortfolioReport, JsonContainsScenariosRankingAndCacheStats) {
     PortfolioRunner runner;
     const auto results = runner.run(grid);
     const auto ranking = PortfolioRunner::rank_topologies(results);
-    const auto json = to_json(results, ranking, &runner.cache());
+    const auto json = to_json(results, ranking, JsonOptions{&runner.cache()});
     EXPECT_NE(json.find("\"scenarios\""), std::string::npos);
     EXPECT_NE(json.find("\"ranking\""), std::string::npos);
     EXPECT_NE(json.find("\"topology_ranking\""), std::string::npos);
@@ -232,7 +233,8 @@ TEST(PortfolioRunner, ContextRunsMatchColdRuns) {
         ASSERT_TRUE(r.ok) << r.error;
         const auto& scenario = grid[r.index];
         const auto topo = scenario.topology.build(scenario.graph->node_count());
-        const auto cold = engine::map_by_name(scenario.mapper, *scenario.graph, topo);
+        const auto ctx = noc::EvalContext::borrow(topo);
+        const auto cold = engine::map_by_name(scenario.mapper, *scenario.graph, ctx);
         EXPECT_EQ(cold.mapping, r.result.mapping) << r.name;
         EXPECT_DOUBLE_EQ(cold.comm_cost, r.result.comm_cost) << r.name;
         EXPECT_EQ(cold.feasible, r.result.feasible);

@@ -89,11 +89,11 @@ TEST(Protocol, ParsesMapRequestParamsAndSeed) {
     const Request r = parse_request(
         "{\"id\": \"x\", \"method\": \"map\", \"apps\": [\"pip\"], \"mapper\": \"sa\", "
         "\"params\": {\"cooling\": 0.9, \"sweeps\": 2, \"bandwidth_aware\": true, "
-        "\"eval\": \"ledger-fast\"}, \"seed\": 42}");
+        "\"mcf_engine\": \"exact\"}, \"seed\": 42}");
     EXPECT_EQ(r.map.seed, 42u);
     // Typed JSON values keep their carrier; print() is sorted + canonical.
     EXPECT_EQ(r.map.params.print(),
-              "bandwidth_aware=true,cooling=0.9,eval=ledger-fast,sweeps=2");
+              "bandwidth_aware=true,cooling=0.9,mcf_engine=exact,sweeps=2");
     EXPECT_EQ(r.map.params.find("sweeps")->type(), engine::ParamType::Int);
     EXPECT_EQ(r.map.params.find("cooling")->type(), engine::ParamType::Double);
     EXPECT_EQ(r.map.params.find("bandwidth_aware")->type(), engine::ParamType::Bool);

@@ -31,7 +31,7 @@ TEST(ShardProtocol, ShardRowsRequestRoundTripsBitExact) {
     task.window.row_end = 4;
     task.window.col_begin = 2;
     task.window.col_end = 0;
-    task.params.set("eval", engine::ParamValue::of_string("ledger-exact"));
+    task.params.set("sweeps", engine::ParamValue::of_int(3));
     task.params.set("threads", engine::ParamValue::of_int(2));
 
     const Request parsed = parse_request(shard_rows_request("t1", task));
@@ -46,8 +46,8 @@ TEST(ShardProtocol, ShardRowsRequestRoundTripsBitExact) {
     EXPECT_EQ(got.window.row_end, task.window.row_end);
     EXPECT_EQ(got.window.col_begin, task.window.col_begin);
     EXPECT_EQ(got.window.col_end, task.window.col_end);
-    ASSERT_NE(got.params.find("eval"), nullptr);
-    EXPECT_EQ(got.params.find("eval")->as_string(), "ledger-exact");
+    ASSERT_NE(got.params.find("sweeps"), nullptr);
+    EXPECT_EQ(got.params.find("sweeps")->as_int(), 3);
     ASSERT_NE(got.params.find("threads"), nullptr);
     EXPECT_EQ(got.params.find("threads")->as_int(), 2);
 }

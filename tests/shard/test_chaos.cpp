@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <csignal>
+#include <sys/wait.h>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -49,6 +50,21 @@ std::string sharded_json(Coordinator& coordinator,
     json.timings = false;
     return portfolio::to_json(results, portfolio::PortfolioRunner::rank_topologies(results),
                               json);
+}
+
+/// SIGSTOPs worker `i` and waits until the kernel reports it stopped.
+/// kill() only queues the signal: the worker's threads stop once one of
+/// them is scheduled to act on it, and on a loaded host that can take
+/// longer than a whole small sharded run, during which the "wedged" worker
+/// still answers every exchange. Waiting for the stop (the fleet forks its
+/// workers, so they are our children) makes the next exchange with it the
+/// timeout the test is about.
+void stop_worker(LocalFleet& fleet, std::size_t i) {
+    const pid_t pid = fleet.pid(i);
+    ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, WUNTRACED), pid);
+    ASSERT_TRUE(WIFSTOPPED(status));
 }
 
 /// Fast-failure ShardOptions: tests should not sit in backoff sleeps.
@@ -174,8 +190,9 @@ TEST(Chaos, SigstoppedWorkerTimesOutAndWorkCompletes) {
     // Wedge worker 0 AFTER the hello handshake: its next exchange must
     // time out, the reconnect escalation must also time out (the kernel
     // still completes TCP handshakes via the listen backlog), and worker 1
-    // must finish everything byte-identically.
-    ::kill(fleet.pid(0), SIGSTOP);
+    // must finish everything byte-identically. Rows mode's first dispatch
+    // hands task 0 to the first live worker, so worker 0 is exchanged with.
+    stop_worker(fleet, 0);
     EXPECT_EQ(sharded_json(coordinator, grid), expected);
     EXPECT_EQ(coordinator.alive_count(), 1u);
     // SIGKILL works on a stopped process; teardown must not hang either.

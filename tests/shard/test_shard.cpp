@@ -14,10 +14,15 @@
 #include <vector>
 
 #include "apps/registry.hpp"
+#include "graph/graph_io.hpp"
+#include "nmap/initialize.hpp"
 #include "portfolio/report.hpp"
 #include "portfolio/runner.hpp"
 #include "portfolio/scenario.hpp"
+#include "service/protocol.hpp"
+#include "service/service.hpp"
 #include "shard/worker_link.hpp"
+#include "util/json.hpp"
 
 namespace nocmap::shard {
 namespace {
@@ -120,7 +125,7 @@ TEST(Shard, ScenariosParityAcrossWorkerCounts) {
 TEST(Shard, RowsParityWithMultiSweepParams) {
     engine::Params params;
     params.set("sweeps", engine::ParamValue::of_int(3));
-    params.set("eval", engine::ParamValue::of_string("incremental"));
+    params.set("threads", engine::ParamValue::of_int(2));
     const auto grid = test_grid(params);
     const std::string expected = single_node_json(grid);
     ShardOptions options;
@@ -200,18 +205,97 @@ TEST(Shard, HandshakeFailureOfEveryWorkerThrows) {
     EXPECT_THROW(Coordinator(std::move(links), ShardOptions{}), std::runtime_error);
 }
 
-TEST(Shard, RowsModeRejectsPathDependentEval) {
-    engine::Params params;
-    params.set("eval", engine::ParamValue::of_string("ledger-fast"));
-    const auto grid = test_grid(params);
-    ShardOptions options;
-    options.mode = ShardMode::Rows;
-    Coordinator coordinator(in_process_links(2), options);
-    const auto results = coordinator.run_grid(grid);
-    for (const auto& r : results) {
-        EXPECT_FALSE(r.ok);
-        EXPECT_NE(r.error.find("ledger-fast"), std::string::npos);
+TEST(Shard, RowsVerbValidatesParamsBeforeScoring) {
+    // A shard-rows task carries nmap's knobs. They are checked against
+    // nmap's ParamSpec list before anything is scored: a bad value or an
+    // unknown key gets the typed error code a map request would, and the
+    // worker never even resolves the fabric (its topology cache stays cold).
+    service::Service worker;
+    const auto g = apps::make_application("pip");
+    const auto placed = nmap::initial_mapping(g, noc::Topology::mesh(4, 2, 1e9));
+    service::ShardRowsRequest task;
+    task.graph_text = graph::core_graph_to_string(g);
+    task.topology = "mesh:4x2";
+    for (noc::TileId t = 0; t < 8; ++t)
+        task.tile_cores.push_back(placed.is_occupied(t) ? placed.core_at(t) : -1);
+    task.window = engine::RowWindow{0, 8, 0, 0};
+    const auto reply_to = [&](const char* assignment) {
+        task.params = {};
+        if (*assignment) task.params.set_assignment(assignment);
+        return util::json::parse(
+            worker.handle_line(service::shard_rows_request("t", task)));
+    };
+    const auto cache_misses = [&] {
+        const auto stats = util::json::parse(
+            worker.handle_line(R"({"id": "s", "method": "stats"})"));
+        return stats.find("cache")->find("misses")->as_number();
+    };
+
+    for (const auto& [assignment, code] : {std::pair{"threads=-1", "param-out-of-range"},
+                                           std::pair{"eval=naive", "unknown-param"}}) {
+        const auto reply = reply_to(assignment);
+        EXPECT_EQ(reply.find("status")->as_string(), "error") << assignment;
+        EXPECT_EQ(reply.find("code")->as_string(), code) << assignment;
+        EXPECT_EQ(reply.find("rows"), nullptr) << assignment;
     }
+    EXPECT_EQ(cache_misses(), 0.0);
+
+    const auto scored = reply_to("threads=2");
+    EXPECT_EQ(scored.find("status")->as_string(), "ok");
+    EXPECT_NE(scored.find("rows"), nullptr);
+    EXPECT_EQ(cache_misses(), 1.0);
+}
+
+TEST(Shard, RowsWorkerKeepsItsScorerWithoutChangingReplies) {
+    // A worker keeps its rows scorer between tasks of one (graph, fabric,
+    // threads): every reply must equal a fresh worker's, whether the next
+    // task's mapping is one swap away, many swaps away, on another fabric,
+    // or arrives from two connections at once.
+    const auto g = apps::make_application("vopd");
+    const auto placed = nmap::initial_mapping(g, noc::Topology::mesh(4, 4, 1e9));
+    service::ShardRowsRequest base;
+    base.graph_text = graph::core_graph_to_string(g);
+    base.topology = "mesh:4x4";
+    base.window = engine::RowWindow{0, 16, 0, 0};
+    std::vector<service::ShardRowsRequest> tasks;
+    for (const char* threads : {"threads=1", "threads=2"})
+        for (const double bandwidth : {1e9, 350.0}) {
+            service::ShardRowsRequest task = base;
+            task.bandwidth = bandwidth;
+            task.params.set_assignment(threads);
+            noc::Mapping m = placed;
+            for (const auto& [a, b] : {std::pair{0, 1}, std::pair{1, 5}, std::pair{2, 14},
+                                       std::pair{3, 4}, std::pair{7, 12}, std::pair{5, 9}}) {
+                m.swap_tiles(a, b); // one swap from the previous task's mapping
+                task.tile_cores.clear();
+                for (noc::TileId t = 0; t < 16; ++t)
+                    task.tile_cores.push_back(m.is_occupied(t) ? m.core_at(t) : -1);
+                task.window = engine::RowWindow{static_cast<noc::TileId>(a), 16, 0, 0};
+                tasks.push_back(task);
+            }
+            tasks.push_back(tasks[tasks.size() - 6]); // many swaps back
+        }
+    const auto fresh_reply = [](const service::ShardRowsRequest& task) {
+        service::Service fresh;
+        return fresh.handle_line(service::shard_rows_request("t", task));
+    };
+
+    service::Service worker;
+    for (const auto& task : tasks)
+        EXPECT_EQ(worker.handle_line(service::shard_rows_request("t", task)), fresh_reply(task));
+
+    std::vector<std::string> expected;
+    for (const auto& task : tasks) expected.push_back(fresh_reply(task));
+    std::vector<std::string> got[2];
+    std::vector<std::thread> connections;
+    for (int c = 0; c < 2; ++c)
+        connections.emplace_back([&, c] {
+            for (const auto& task : tasks)
+                got[c].push_back(worker.handle_line(service::shard_rows_request("t", task)));
+        });
+    for (std::thread& t : connections) t.join();
+    EXPECT_EQ(got[0], expected);
+    EXPECT_EQ(got[1], expected);
 }
 
 TEST(Shard, WeightedPartitionFollowsAdvertisedCores) {
