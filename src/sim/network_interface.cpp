@@ -1,5 +1,7 @@
 #include "sim/network_interface.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace nocmap::sim {
@@ -35,8 +37,8 @@ std::size_t NetworkInterface::choose_path(std::size_t flow_slot) {
     return winner;
 }
 
-std::vector<NetworkInterface::Emission> NetworkInterface::tick(std::uint64_t cycle) {
-    std::vector<Emission> emitted;
+void NetworkInterface::tick(std::uint64_t cycle, std::vector<Emission>& emitted) {
+    emitted.clear();
     for (std::size_t i = 0; i < generators_.size(); ++i) {
         if (!generators_[i].emits_at(cycle)) continue;
         Emission e;
@@ -44,7 +46,13 @@ std::vector<NetworkInterface::Emission> NetworkInterface::tick(std::uint64_t cyc
         e.path_index = choose_path(i);
         emitted.push_back(e);
     }
-    return emitted;
+}
+
+std::uint64_t NetworkInterface::next_emission_cycle() const noexcept {
+    std::uint64_t earliest = std::numeric_limits<std::uint64_t>::max();
+    for (const BurstyGenerator& generator : generators_)
+        earliest = std::min(earliest, generator.next_emission_cycle());
+    return earliest;
 }
 
 } // namespace nocmap::sim

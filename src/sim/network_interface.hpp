@@ -31,8 +31,13 @@ public:
         std::size_t path_index = 0;
     };
 
-    /// Advances the generators one cycle; returns the packets emitted now.
-    std::vector<Emission> tick(std::uint64_t cycle);
+    /// Advances the generators one cycle; replaces the contents of
+    /// `emitted` with the packets emitted now (a buffer the caller reuses).
+    void tick(std::uint64_t cycle, std::vector<Emission>& emitted);
+
+    /// Earliest cycle at which some generator here emits (see
+    /// BurstyGenerator::next_emission_cycle); UINT64_MAX without flows.
+    std::uint64_t next_emission_cycle() const noexcept;
 
     std::size_t flow_count() const noexcept { return flow_ids_.size(); }
 

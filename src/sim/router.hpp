@@ -72,15 +72,20 @@ public:
         return inputs_[static_cast<std::size_t>(port)];
     }
     std::size_t local_queue_count() const noexcept { return local_queues_; }
-    /// Input port fed by incoming link `l`; throws if `l` does not end here.
-    PortIndex port_of_in_link(noc::LinkId l) const;
 
-    /// Output state of outgoing link `l`; throws if `l` does not start here.
-    OutputPort& output_for_link(noc::LinkId l);
+    /// Output ports are addressed by index, aligned with topo.out_links()
+    /// of this tile; out_link(i) is the link output(i) drives.
+    std::size_t output_count() const noexcept { return outputs_.size(); }
+    OutputPort& output(std::size_t i) { return outputs_[i]; }
+    const OutputPort& output(std::size_t i) const { return outputs_[i]; }
+    noc::LinkId out_link(std::size_t i) const { return out_links_[i]; }
     OutputPort& ejection_port() { return ejection_; }
 
-    /// All incoming link ids, aligned with ports 1..n.
-    const std::vector<noc::LinkId>& in_links() const noexcept { return in_links_; }
+    /// Construction-time lookups (linear scans; the simulator resolves
+    /// them once into per-link tables). Throw std::invalid_argument when
+    /// `l` does not end (resp. start) at this router.
+    PortIndex port_of_in_link(noc::LinkId l) const;
+    OutputPort& output_for_link(noc::LinkId l);
 
     /// Total flits currently buffered (all inputs).
     std::size_t buffered_flits() const;

@@ -19,6 +19,24 @@ double link_rate_flits_per_cycle(double capacity_mbps, const SimConfig& config) 
     return bytes_per_cycle / static_cast<double>(config.flit_bytes);
 }
 
+/// Replays what `cycles` cycles without flits do to an output port: the
+/// full pass adds `rate` and clamps at one flit slot, once per cycle. Stops
+/// early once the additions can no longer change `tokens` (rate 0, or a
+/// positive rate with tokens clamped at 1).
+void accrue_idle_tokens(Router::OutputPort& port, std::uint64_t cycles) {
+    for (; cycles > 0; --cycles) {
+        if (port.rate == 0.0 || (port.rate > 0.0 && port.tokens == 1.0)) return;
+        port.tokens += port.rate;
+        if (port.tokens > 1.0) port.tokens = 1.0;
+    }
+}
+
+void accrue_idle_tokens(Router& router, std::uint64_t cycles) {
+    for (std::size_t o = 0; o < router.output_count(); ++o)
+        accrue_idle_tokens(router.output(o), cycles);
+    accrue_idle_tokens(router.ejection_port(), cycles);
+}
+
 } // namespace
 
 std::string SimStats::summary() const {
@@ -79,10 +97,20 @@ Simulator::Simulator(const noc::Topology& topo, std::vector<FlowSpec> flows,
         router.ejection_port().rate = config_.local_port_flits_per_cycle;
     }
 
+    link_end_.resize(topo_.link_count());
+    for (std::size_t l = 0; l < topo_.link_count(); ++l) {
+        const auto link = static_cast<noc::LinkId>(l);
+        const auto dst = static_cast<std::size_t>(topo_.link(link).dst);
+        link_end_[l] = LinkEnd{dst, routers_[dst].port_of_in_link(link)};
+    }
+    held_flits_.assign(routers_.size(), 0);
+    token_cycles_.assign(routers_.size(), 0);
+
     interfaces_.reserve(topo_.tile_count());
     for (std::size_t t = 0; t < topo_.tile_count(); ++t)
         interfaces_.emplace_back(static_cast<noc::TileId>(t), std::move(ids[t]),
                                  std::move(specs[t]), std::move(generators[t]));
+    for (const NetworkInterface& ni : interfaces_) ni_due_.push_back(ni.next_emission_cycle());
 
     arrival_ring_.assign(config_.hop_delay_cycles + 1, {});
 
@@ -93,8 +121,14 @@ Simulator::Simulator(const noc::Topology& topo, std::vector<FlowSpec> flows,
 }
 
 void Simulator::inject_traffic(std::uint64_t cycle) {
-    for (auto& ni : interfaces_) {
-        for (const auto& emission : ni.tick(cycle)) {
+    for (std::size_t n = 0; n < interfaces_.size(); ++n) {
+        // Before its due cycle every generator of this NI would answer
+        // "no" without changing state: skip the tick.
+        if (cycle < ni_due_[n]) continue;
+        NetworkInterface& ni = interfaces_[n];
+        ni.tick(cycle, emissions_);
+        ni_due_[n] = ni.next_emission_cycle();
+        for (const auto& emission : emissions_) {
             const FlowSpec& flow = flows_[static_cast<std::size_t>(emission.flow)];
             PacketRecord record;
             record.flow = emission.flow;
@@ -104,10 +138,12 @@ void Simulator::inject_traffic(std::uint64_t cycle) {
             packets_.push_back(std::move(record));
             const auto id = static_cast<PacketId>(packets_.size() - 1);
 
-            Router& router = routers_[static_cast<std::size_t>(ni.tile())];
+            const auto tile = static_cast<std::size_t>(ni.tile());
             auto& queue =
-                router.input(local_port_of_flow_[static_cast<std::size_t>(emission.flow)])
+                routers_[tile]
+                    .input(local_port_of_flow_[static_cast<std::size_t>(emission.flow)])
                     .fifo;
+            held_flits_[tile] += flits_per_packet_;
             for (std::uint32_t i = 0; i < flits_per_packet_; ++i) {
                 Flit flit;
                 flit.packet = id;
@@ -130,13 +166,13 @@ void Simulator::inject_traffic(std::uint64_t cycle) {
 void Simulator::deliver_arrivals(std::uint64_t cycle) {
     auto& bucket = arrival_ring_[cycle % arrival_ring_.size()];
     for (const Arrival& arrival : bucket) {
-        const noc::Link& link = topo_.link(arrival.link);
-        Router& router = routers_[static_cast<std::size_t>(link.dst)];
-        auto& buffer = router.input(router.port_of_in_link(arrival.link));
+        const LinkEnd& end = link_end_[static_cast<std::size_t>(arrival.link)];
+        auto& buffer = routers_[end.router].input(end.port);
         if (buffer.reserved == 0)
             throw std::logic_error("Simulator: arrival without reservation");
         --buffer.reserved;
         buffer.fifo.push_back(arrival.flit);
+        ++held_flits_[end.router];
     }
     bucket.clear();
 }
@@ -165,102 +201,121 @@ void Simulator::complete_packet(PacketId id, std::uint64_t cycle) {
 
 bool Simulator::serve_outputs(std::uint64_t cycle) {
     bool moved = false;
-    for (auto& router : routers_) {
-        const std::size_t inputs = router.input_count();
+    // Index order matters: has_space() of a downstream input sees the pops
+    // its own router made earlier in this cycle. A router holding no flit
+    // would only accrue tokens, and stays empty for the rest of the cycle
+    // (its inputs fill at deliver/inject time, before this pass): skip it
+    // and replay those token additions when it next holds a flit.
+    for (std::size_t t = 0; t < routers_.size(); ++t)
+        if (held_flits_[t] > 0 && serve_router(t, cycle)) moved = true;
+    return moved;
+}
 
-        // Picks the input feeding `port` this cycle: the wormhole owner
-        // while a packet is in flight, otherwise round-robin over inputs
-        // whose head-of-line flit is a head flit routed to `out_link`
-        // (kInvalidLink = the ejection port).
-        auto choose_input = [&](Router::OutputPort& port,
-                                noc::LinkId out_link) -> std::int32_t {
-            if (port.owner != kNoOwner) {
-                return router.input(port.owner).fifo.empty() ? kNoOwner : port.owner;
-            }
-            for (std::size_t step = 0; step < inputs; ++step) {
-                const auto idx = static_cast<std::int32_t>((port.rr_next + step) % inputs);
-                const auto& buffer = router.input(idx);
-                if (buffer.fifo.empty()) continue;
-                const Flit& flit = buffer.fifo.front();
-                if (!flit.head) continue; // body of a parked packet
-                const PacketRecord& record = packets_[static_cast<std::size_t>(flit.packet)];
-                const bool wants_ejection = flit.hop >= record.route.size();
-                if (out_link == noc::kInvalidLink) {
-                    if (!wants_ejection) continue;
-                } else if (wants_ejection || record.route[flit.hop] != out_link) {
-                    continue;
-                }
-                port.rr_next = (static_cast<std::size_t>(idx) + 1) % inputs;
-                return idx;
-            }
-            return kNoOwner;
-        };
+bool Simulator::serve_router(std::size_t t, std::uint64_t cycle) {
+    bool moved = false;
+    Router& router = routers_[t];
+    const std::size_t inputs = router.input_count();
+    accrue_idle_tokens(router, cycle - token_cycles_[t]);
+    token_cycles_[t] = cycle + 1;
 
-        for (const noc::LinkId l : topo_.out_links(router.tile())) {
-            auto& port = router.output_for_link(l);
-
-            // Stage 1 — link transmission: drain the output buffer at the
-            // link's serialization rate, subject to downstream credits.
-            port.tokens += port.rate;
-            while (port.tokens >= 1.0 && !port.buffer.empty()) {
-                const noc::Link& link = topo_.link(l);
-                Router& downstream = routers_[static_cast<std::size_t>(link.dst)];
-                auto& target = downstream.input(downstream.port_of_in_link(l));
-                if (!target.has_space()) break;
-                Flit flit = port.buffer.front();
-                port.buffer.pop_front();
-                ++target.reserved;
-                arrival_ring_[(cycle + config_.hop_delay_cycles) % arrival_ring_.size()]
-                    .push_back(Arrival{flit, l});
-                port.tokens -= 1.0;
-                ++port.flits_sent;
-                moved = true;
-            }
-            // An idle or blocked link cannot bank service credit beyond one
-            // flit slot (clamping mid-backlog would quantize the link rate).
-            if (port.tokens > 1.0) port.tokens = 1.0;
-
-            // Stage 2 — crossbar: move one flit per cycle from the chosen
-            // input into the output buffer (×pipes output buffering).
-            if (port.has_space()) {
-                const std::int32_t chosen = choose_input(port, l);
-                if (chosen != kNoOwner) {
-                    auto& buffer = router.input(chosen);
-                    Flit flit = buffer.fifo.front();
-                    buffer.fifo.pop_front();
-                    ++flit.hop;
-                    port.buffer.push_back(flit);
-                    moved = true;
-                    if (flit.head) port.owner = chosen;
-                    if (flit.tail) port.owner = kNoOwner;
-                }
-            }
+    // Picks the input feeding `port` this cycle: the wormhole owner
+    // while a packet is in flight, otherwise round-robin over inputs
+    // whose head-of-line flit is a head flit routed to `out_link`
+    // (kInvalidLink = the ejection port).
+    auto choose_input = [&](Router::OutputPort& port,
+                            noc::LinkId out_link) -> std::int32_t {
+        if (port.owner != kNoOwner) {
+            return router.input(port.owner).fifo.empty() ? kNoOwner : port.owner;
         }
+        for (std::size_t step = 0; step < inputs; ++step) {
+            const auto idx = static_cast<std::int32_t>((port.rr_next + step) % inputs);
+            const auto& buffer = router.input(idx);
+            if (buffer.fifo.empty()) continue;
+            const Flit& flit = buffer.fifo.front();
+            if (!flit.head) continue; // body of a parked packet
+            const PacketRecord& record = packets_[static_cast<std::size_t>(flit.packet)];
+            const bool wants_ejection = flit.hop >= record.route.size();
+            if (out_link == noc::kInvalidLink) {
+                if (!wants_ejection) continue;
+            } else if (wants_ejection || record.route[flit.hop] != out_link) {
+                continue;
+            }
+            port.rr_next = (static_cast<std::size_t>(idx) + 1) % inputs;
+            return idx;
+        }
+        return kNoOwner;
+    };
 
-        // Ejection port: consumes directly from the inputs at the local
-        // port rate (the NI sink needs no output queue).
-        auto& ejection = router.ejection_port();
-        ejection.tokens += ejection.rate;
-        while (ejection.tokens >= 1.0) {
-            const std::int32_t chosen = choose_input(ejection, noc::kInvalidLink);
-            if (chosen == kNoOwner) break;
-            auto& buffer = router.input(chosen);
-            const Flit flit = buffer.fifo.front();
-            buffer.fifo.pop_front();
-            if (flit.tail) complete_packet(flit.packet, cycle);
-            ejection.tokens -= 1.0;
-            ++ejection.flits_sent;
-            --in_flight_flits_;
+    for (std::size_t o = 0; o < router.output_count(); ++o) {
+        auto& port = router.output(o);
+        const noc::LinkId l = router.out_link(o);
+
+        // Stage 1 — link transmission: drain the output buffer at the
+        // link's serialization rate, subject to downstream credits.
+        port.tokens += port.rate;
+        const LinkEnd& end = link_end_[static_cast<std::size_t>(l)];
+        while (port.tokens >= 1.0 && !port.buffer.empty()) {
+            auto& target = routers_[end.router].input(end.port);
+            if (!target.has_space()) break;
+            Flit flit = port.buffer.front();
+            port.buffer.pop_front();
+            --held_flits_[t];
+            ++target.reserved;
+            arrival_ring_[(cycle + config_.hop_delay_cycles) % arrival_ring_.size()]
+                .push_back(Arrival{flit, l});
+            port.tokens -= 1.0;
+            ++port.flits_sent;
             moved = true;
-            if (flit.head) ejection.owner = chosen;
-            if (flit.tail) ejection.owner = kNoOwner;
         }
-        if (ejection.tokens > 1.0) ejection.tokens = 1.0;
+        // An idle or blocked link cannot bank service credit beyond one
+        // flit slot (clamping mid-backlog would quantize the link rate).
+        if (port.tokens > 1.0) port.tokens = 1.0;
+
+        // Stage 2 — crossbar: move one flit per cycle from the chosen
+        // input into the output buffer (×pipes output buffering).
+        if (port.has_space()) {
+            const std::int32_t chosen = choose_input(port, l);
+            if (chosen != kNoOwner) {
+                auto& buffer = router.input(chosen);
+                Flit flit = buffer.fifo.front();
+                buffer.fifo.pop_front();
+                ++flit.hop;
+                port.buffer.push_back(flit);
+                moved = true;
+                if (flit.head) port.owner = chosen;
+                if (flit.tail) port.owner = kNoOwner;
+            }
+        }
     }
+
+    // Ejection port: consumes directly from the inputs at the local
+    // port rate (the NI sink needs no output queue).
+    auto& ejection = router.ejection_port();
+    ejection.tokens += ejection.rate;
+    while (ejection.tokens >= 1.0) {
+        const std::int32_t chosen = choose_input(ejection, noc::kInvalidLink);
+        if (chosen == kNoOwner) break;
+        auto& buffer = router.input(chosen);
+        const Flit flit = buffer.fifo.front();
+        buffer.fifo.pop_front();
+        if (flit.tail) complete_packet(flit.packet, cycle);
+        ejection.tokens -= 1.0;
+        ++ejection.flits_sent;
+        --held_flits_[t];
+        --in_flight_flits_;
+        moved = true;
+        if (flit.head) ejection.owner = chosen;
+        if (flit.tail) ejection.owner = kNoOwner;
+    }
+    if (ejection.tokens > 1.0) ejection.tokens = 1.0;
     return moved;
 }
 
 SimStats Simulator::run() {
+    if (ran_)
+        throw std::logic_error(
+            "Simulator::run: already ran; construct a new Simulator for another run");
+    ran_ = true;
     measure_begin_ = config_.warmup_cycles;
     measure_end_ = config_.warmup_cycles + config_.measure_cycles;
     const std::uint64_t hard_end = measure_end_ + config_.drain_cycles;
@@ -268,6 +323,18 @@ SimStats Simulator::run() {
     std::uint64_t last_movement = 0;
     std::uint64_t cycle = 0;
     for (; cycle < hard_end; ++cycle) {
+        // An empty network changes nothing but (lazily replayed) token
+        // accumulators until a generator next emits or the window closes:
+        // jump there. No flit moves in the skipped cycles, and with none in
+        // flight neither the watchdog nor the drain exit can fire in them.
+        if (in_flight_flits_ == 0 && cycle < measure_end_) {
+            std::uint64_t next = measure_end_;
+            for (const std::uint64_t due : ni_due_) next = std::min(next, due);
+            if (next > cycle) {
+                cycle = next;
+                if (cycle >= hard_end) break;
+            }
+        }
         deliver_arrivals(cycle);
         if (cycle < measure_end_) inject_traffic(cycle);
         const bool moved = serve_outputs(cycle);
@@ -287,12 +354,12 @@ SimStats Simulator::run() {
 
     // Link utilization: flits actually sent vs. flits the link could carry.
     stats_.link_utilization.assign(topo_.link_count(), 0.0);
-    for (auto& router : routers_)
-        for (const noc::LinkId l : topo_.out_links(router.tile())) {
-            const auto& port = router.output_for_link(l);
+    for (const Router& router : routers_)
+        for (std::size_t o = 0; o < router.output_count(); ++o) {
+            const auto& port = router.output(o);
             const double capacity_flits = port.rate * static_cast<double>(cycle);
             if (capacity_flits > 0.0)
-                stats_.link_utilization[static_cast<std::size_t>(l)] =
+                stats_.link_utilization[static_cast<std::size_t>(router.out_link(o))] =
                     static_cast<double>(port.flits_sent) / capacity_flits;
         }
     return stats_;

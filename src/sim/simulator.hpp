@@ -8,6 +8,20 @@
 // bursty ON/OFF traffic. Reproduces the contention mechanism behind
 // Figure 5(c): single-path routing concentrates load and hits wormhole
 // blocking as link bandwidth shrinks, split routing stays flat.
+//
+// The schedule is activity-driven, and its results are bit-identical to
+// visiting every router on every cycle (tests/sim/test_sim_golden.cpp):
+//  * Only routers holding flits (input FIFOs plus output buffers) are
+//    served, in index order: a link send's has_space() check sees the
+//    pops that lower-indexed routers already made this cycle.
+//  * An unserved router's ports would only do `tokens += rate`, clamped
+//    to 1. Those additions are replayed one by one, in order, when the
+//    router next holds a flit.
+//  * With no flit in flight before the window closes, the run jumps to
+//    the next cycle at which a generator emits (by the same test as
+//    BurstyGenerator::emits_at) or to the window's end. No flit moves in
+//    the skipped cycles, so the watchdog's last-movement cycle and the
+//    drain exit behave as they would cycle by cycle.
 
 #include <cstdint>
 #include <iosfwd>
@@ -81,6 +95,7 @@ public:
               const SimConfig& config = {});
 
     /// Runs warmup + measurement (+ drain) and returns the statistics.
+    /// A Simulator runs once: a second call throws std::logic_error.
     SimStats run();
 
     const SimConfig& config() const noexcept { return config_; }
@@ -94,10 +109,16 @@ private:
         Flit flit;
         noc::LinkId link = noc::kInvalidLink; ///< input buffer to deliver to
     };
+    /// Where a link's flits land: the downstream router and its input port.
+    struct LinkEnd {
+        std::size_t router = 0;
+        PortIndex port = 0;
+    };
 
     void deliver_arrivals(std::uint64_t cycle);
     void inject_traffic(std::uint64_t cycle);
     bool serve_outputs(std::uint64_t cycle); ///< returns true if any flit moved
+    bool serve_router(std::size_t t, std::uint64_t cycle);
     void complete_packet(PacketId id, std::uint64_t cycle);
 
     const noc::Topology& topo_;
@@ -110,7 +131,16 @@ private:
     std::vector<PortIndex> local_port_of_flow_; ///< NI queue of each flow
     std::vector<PacketRecord> packets_;
     std::vector<std::vector<Arrival>> arrival_ring_; ///< [cycle % delay+1]
+    std::vector<LinkEnd> link_end_;           ///< per LinkId
+    /// Per router: flits in its input FIFOs and output buffers.
+    std::vector<std::size_t> held_flits_;
+    /// Per router: cycles [0, n) whose token additions its ports hold.
+    std::vector<std::uint64_t> token_cycles_;
+    /// Per NI: the next cycle at which one of its generators emits.
+    std::vector<std::uint64_t> ni_due_;
+    std::vector<NetworkInterface::Emission> emissions_; ///< reused per tick
     std::uint64_t in_flight_flits_ = 0;
+    bool ran_ = false;
 
     SimStats stats_;
     std::uint64_t measure_begin_ = 0;

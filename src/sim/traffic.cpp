@@ -1,9 +1,20 @@
 #include "sim/traffic.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace nocmap::sim {
+
+namespace {
+
+/// The emission test: a packet due at fractional time `next_emit` leaves
+/// in the first cycle whose end passes it.
+bool emits_by(std::uint64_t cycle, double next_emit) {
+    return !(static_cast<double>(cycle) + 1.0 <= next_emit);
+}
+
+} // namespace
 
 BurstyGenerator::BurstyGenerator(double packets_per_cycle, const TrafficConfig& config,
                                  util::Rng rng)
@@ -48,10 +59,20 @@ void BurstyGenerator::schedule_next() {
 }
 
 bool BurstyGenerator::emits_at(std::uint64_t cycle) {
-    const double now = static_cast<double>(cycle);
-    if (now + 1.0 <= next_emit_) return false;
+    if (!emits_by(cycle, next_emit_)) return false;
     schedule_next();
     return true;
+}
+
+std::uint64_t BurstyGenerator::next_emission_cycle() const noexcept {
+    constexpr double kWholeCycles = 4503599627370496.0; // 2^52
+    if (emits_by(0, next_emit_)) return 0;
+    if (!(next_emit_ < kWholeCycles)) return std::numeric_limits<std::uint64_t>::max();
+    // Start from the floor estimate and settle on the exact predicate.
+    auto cycle = static_cast<std::uint64_t>(next_emit_ - 1.0);
+    while (!emits_by(cycle, next_emit_)) ++cycle;
+    while (cycle > 0 && emits_by(cycle - 1, next_emit_)) --cycle;
+    return cycle;
 }
 
 } // namespace nocmap::sim

@@ -31,6 +31,14 @@ public:
     /// cycles.
     bool emits_at(std::uint64_t cycle);
 
+    /// The smallest cycle at which emits_at() would return true, by the
+    /// same `cycle + 1.0 <= next emission` test: emits_at() returns false,
+    /// without changing state, for every earlier cycle. A result below the
+    /// caller's current cycle means "emits at the current cycle". Emission
+    /// times past 2^52 cycles, where doubles stop resolving whole cycles,
+    /// saturate to UINT64_MAX.
+    std::uint64_t next_emission_cycle() const noexcept;
+
     double average_rate() const noexcept { return rate_; }
 
 private:

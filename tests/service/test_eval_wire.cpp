@@ -137,5 +137,25 @@ TEST(Service, MapRequestsApplyTheEvalSpec) {
     EXPECT_NE(invalid.find("error_code"), std::string::npos);
 }
 
+TEST(Service, SimulatedMapRepliesMatchAtOneAndFourWorkers) {
+    // Four portfolio workers simulate one request's scenarios concurrently
+    // (the ThreadSanitizer CI job checks that simulations share no state);
+    // the reply matches the serial daemon's byte for byte.
+    const std::string request =
+        "{\"id\": \"s1\", \"method\": \"map\", \"apps\": [\"pip\", \"dsp\", \"mpeg4\"], "
+        "\"topologies\": \"mesh,torus,ring,hypercube\", \"eval\": {\"eval\": \"simulated\", "
+        "\"sim_cycles\": 3000, \"sim_warmup\": 300}}";
+    std::string replies[2];
+    const std::size_t threads[2] = {1, 4};
+    for (std::size_t i = 0; i < 2; ++i) {
+        ServiceOptions options;
+        options.threads = threads[i];
+        Service daemon(options);
+        replies[i] = daemon.handle_line(request);
+    }
+    EXPECT_NE(replies[0].find("p99_latency_cycles"), std::string::npos);
+    EXPECT_EQ(replies[0], replies[1]);
+}
+
 } // namespace
 } // namespace nocmap::service

@@ -19,6 +19,18 @@ TEST(Router, PortLayout) {
     }
 }
 
+TEST(Router, OutputsAreIndexedInOutLinkOrder) {
+    const auto topo = noc::Topology::mesh(3, 3, 100.0);
+    const noc::TileId centre = topo.tile_at(1, 1);
+    Router r(topo, centre, 8);
+    const auto out = topo.out_links(centre);
+    ASSERT_EQ(r.output_count(), out.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(r.out_link(i), out[i]);
+        EXPECT_EQ(&r.output(i), &r.output_for_link(out[i]));
+    }
+}
+
 TEST(Router, LocalPortIsUnbounded) {
     const auto topo = noc::Topology::mesh(2, 2, 100.0);
     Router r(topo, 0, 4);

@@ -126,6 +126,18 @@ TEST(Simulator, DeterministicForFixedSeed) {
     EXPECT_DOUBLE_EQ(sa.packet_latency.mean(), sb.packet_latency.mean());
 }
 
+TEST(Simulator, RunIsSingleUse) {
+    // A second run() would restart at cycle 0 with generators already past
+    // their schedule and statistics that keep accumulating: it throws.
+    const auto topo = noc::Topology::mesh(2, 1, 1000.0);
+    Simulator sim(topo, {single_flow(topo, 0, 1, 200.0)}, quick_config());
+    const auto first = sim.run();
+    const std::size_t packets = sim.packet_records().size();
+    EXPECT_THROW(sim.run(), std::logic_error);
+    EXPECT_EQ(sim.packet_records().size(), packets);
+    EXPECT_GT(first.packets_injected, 0u);
+}
+
 TEST(Simulator, SeedChangesTraffic) {
     const auto topo = noc::Topology::mesh(2, 1, 1000.0);
     SimConfig cfg = quick_config();

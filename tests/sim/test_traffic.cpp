@@ -74,5 +74,33 @@ TEST(Traffic, BurstinessOneIsSmooth) {
     EXPECT_NEAR(static_cast<double>(packets) / 100'000.0, rate, rate * 0.05);
 }
 
+TEST(Traffic, NextEmissionCycleMatchesSteppedEmitsAt) {
+    // For random rates and burstiness (including peaks clamped to one
+    // packet per cycle, and uniform injection at burstiness 1), the helper
+    // names exactly the next cycle at which stepping emits_at() says yes.
+    util::Rng pick(99);
+    std::size_t clamped = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+        const double rate = pick.next_double_in(1e-4, 0.6);
+        TrafficConfig cfg;
+        cfg.burstiness = trial % 3 == 0 ? 1.0 : pick.next_double_in(1.0, 16.0);
+        cfg.mean_burst_packets = pick.next_double_in(1.0, 12.0);
+        clamped += rate * cfg.burstiness >= 1.0 ? 1 : 0;
+        const auto seed = pick.next_below(1'000'000);
+        BurstyGenerator predicted(rate, cfg, util::Rng(seed));
+        BurstyGenerator stepped(rate, cfg, util::Rng(seed));
+        std::uint64_t cycle = 0;
+        for (int emission = 0; emission < 200; ++emission) {
+            const std::uint64_t next = std::max(cycle, predicted.next_emission_cycle());
+            while (!stepped.emits_at(cycle)) ++cycle;
+            ASSERT_EQ(next, cycle) << "rate " << rate << " burstiness " << cfg.burstiness
+                                   << " emission " << emission;
+            ASSERT_TRUE(predicted.emits_at(next));
+            ++cycle;
+        }
+    }
+    EXPECT_GT(clamped, 5u);
+}
+
 } // namespace
 } // namespace nocmap::sim
